@@ -1,0 +1,84 @@
+"""Golden digests of runs.csv: the random-draw and arithmetic contract.
+
+Each case pins the sha256 of the runs.csv that write_results produces for
+one small seeded experiment.  A refactor of the hot loop (estimator,
+policies, environment, harness) must leave every digest unchanged; a
+deliberate change of the draw order or of the statistics' floating-point
+arithmetic re-pins them and says so in CHANGES.md.
+
+The digests depend on numpy's Generator streams and float formatting, so
+a numpy release that changes either would also move them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from duelsim import (
+    ExperimentConfig,
+    run_many,
+    save_matrix_csv,
+    validate_matrix,
+    write_results,
+)
+
+GOLDEN = {
+    ("rucb-delay", "det:1", False): (
+        "f1af3d9c080d5c7b8d2bceb8105b382ba113839d041b363836e7d29da13051aa"
+    ),
+    ("rucb-delay", "geometric:0.1", False): (
+        "15613c065ad8d95fd0e554710209a83be0d9697517a971ce65ac523dac398416"
+    ),
+    ("rrdb-delay", "det:1", False): (
+        "e60b6a7e98e4451cf39f55fe57fa02ec6313789a8275f5effaed837cd58bc77c"
+    ),
+    ("rrdb-delay", "geometric:0.1", False): (
+        "aeb936a4079c72f0a977fc13f8728fdbd7603b2652fa4ae34a108e05ab883698"
+    ),
+    ("mrr-delay", "det:1", False): (
+        "515d99500fed95ef2fd476d2d3292e8e2cccff8b4fa6a64586964b3f3378fb81"
+    ),
+    ("mrr-delay", "geometric:0.1", False): (
+        "3689e3978f5cbbe8e2623a9a28861d0b5f64ce1900e71bf609908654814de316"
+    ),
+    ("rucb-baseline", "det:1", False): (
+        "f1af3d9c080d5c7b8d2bceb8105b382ba113839d041b363836e7d29da13051aa"
+    ),
+    ("rucb-baseline", "geometric:0.1", False): (
+        "30b20ca5733569ebaead22898935b630460680f964a69a911c232bcfb6eb3a1e"
+    ),
+    ("mrr-delay", "det:1", True): (
+        "e568b9a44657970eac19e2b0f84e7332d9bc61856698cd1846c314f2d8cff7fe"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def steep_csv(tmp_path_factory):
+    """Five arms, arm i beats arm j w.p. 0.5 + 0.1 (j - i): wide enough gaps
+    that rrdb-delay eliminates within the horizon."""
+    idx = np.arange(5)
+    path = tmp_path_factory.mktemp("golden") / "steep5.csv"
+    save_matrix_csv(validate_matrix((5.0 + (idx[None, :] - idx[:, None])) / 10.0), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "policy,delay,aggregated", list(GOLDEN), ids=lambda x: str(x).lower()
+)
+def test_runs_csv_digest(tmp_path, steep_csv, policy, delay, aggregated):
+    config = ExperimentConfig(
+        dataset=steep_csv,
+        policy=policy,
+        delay=delay,
+        horizon=2000,
+        runs=2,
+        base_seed=11,
+        window=40,
+        trace_stride=50,
+        aggregated=aggregated,
+    )
+    write_results(run_many(config), tmp_path)
+    digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN[(policy, delay, aggregated)]
