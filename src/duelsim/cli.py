@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bounds, datasets
+from . import bounds, datasets, policies
 from .errors import DuelSimError
 from .harness import ExperimentConfig, run_many, write_results
 
@@ -29,11 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a seeded experiment")
     run.add_argument("--dataset", required=True, help="built-in name or CSV path")
-    run.add_argument(
-        "--policy",
-        required=True,
-        choices=["rucb-delay", "rrdb-delay", "mrr-delay", "rucb-baseline"],
-    )
+    run.add_argument("--policy", required=True, choices=policies.policy_names())
     run.add_argument("--alpha", type=float, default=1.0)
     run.add_argument(
         "--delay",

@@ -14,10 +14,19 @@ A play older than M is frozen: its weight is tau(M) forever and late
 conversions are ignored, so it is folded into permanent aggregates and
 dropped from the window.  Storage is O(K^2 + M) regardless of t.
 
-The window is held twice, by design: flat arrays back the vectorized
-whole-matrix queries the optimistic policies issue every step, and a
-per-pair time index makes single-pair queries cheap for sweep-based
-policies and verification.  Both views read the same entries.
+The window is one ring buffer of M slots: the play at step s lives in
+slot s mod M, which is collision-free because play times strictly
+increase and the window only holds plays with s > t - M.  Each slot has
+a pair key u * K + v, a play time and a converted flag.  The keys are
+written twice, at i and i + M of a 2M array, so the window in
+chronological order is always the contiguous view keys[h : h + M] with
+h = (last_t + 1) mod M.  Empty and folded slots hold the sentinel key
+K * K, whose bincount bin is dropped.  At the query time the hot loop
+uses, t = last_t + 1, the slot at position p of that view has age M - p,
+so its weights are the constant view tau[M:0:-1] and a whole-matrix
+query is one bincount.  Other query times gather tau(clip(t - s, 0, M))
+in the same chronological order, so both paths add each pair's weights
+oldest first and agree bit for bit.
 
 Call discipline per step t: ingest the conversions that land at t, then
 query (statistics describe plays up to t-1), then record the play at t.
@@ -26,7 +35,6 @@ query (statistics describe plays up to t-1), then record the play at t.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -54,31 +62,28 @@ class DelayCorrectedEstimator:
         self.k = k
         self.m_window = m_window
         self.tau = tau_table
-        self._tau_list = tau_table.tolist()
         self.tau_m = float(tau_table[m_window])
 
         self.n = np.zeros((k, k), dtype=np.int64)
-        # plays/wins folded out of the window, per ordered pair
+        # plays folded out of the window, per ordered pair
         self._folded_plays = np.zeros((k, k), dtype=np.float64)
-        self._folded_wins = np.zeros((k, k), dtype=np.float64)
-        # converted flags currently inside the window, per ordered pair
-        self._window_wins = np.zeros((k, k), dtype=np.float64)
+        # landed wins per ordered pair, in the window or folded out of it
+        self._wins = np.zeros((k, k), dtype=np.float64)
 
-        cap = 2 * m_window + 2
-        self._s = np.zeros(cap, dtype=np.int64)
-        self._pair = np.zeros(cap, dtype=np.int64)  # u * k + v
-        self._lo = 0
-        self._hi = 0
-        self._slot: dict[int, int] = {}  # play time -> buffer index
-        self._by_pair: dict[int, deque[int]] = {}  # pair key -> play times
-        self._converted: set[int] = set()  # play times with landed wins
+        # ring buffer: slot s mod M holds the play at step s
+        self._empty = k * k
+        self._keys = np.full(2 * m_window, self._empty, dtype=np.int64)
+        self._times = np.zeros(m_window, dtype=np.int64)
+        self._converted = np.zeros(m_window, dtype=bool)
+        # weights of the chronological window at t = last_t + 1
+        self._next_weights = tau_table[m_window:0:-1]
         self.last_t = 0
 
     # -- bookkeeping ------------------------------------------------------
 
     @property
     def window_size(self) -> int:
-        return self._hi - self._lo
+        return int(np.count_nonzero(self._keys[: self.m_window] != self._empty))
 
     def record_play(self, u: int, v: int, t: int) -> None:
         """Register the play at step t.  Times must strictly increase."""
@@ -86,21 +91,23 @@ class DelayCorrectedEstimator:
             raise OutOfOrder(f"play at t={t} after t={self.last_t}")
         if not (0 <= u < self.k and 0 <= v < self.k):
             raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
+        k = self.k
+        m = self.m_window
+        keys = self._keys
         # a play can still convert at age M, and those conversions are
-        # ingested before the step-t play is recorded, so s <= t - M is final
-        self._fold_older_than(t - self.m_window + 1)
-        if self._hi == self._s.shape[0]:
-            self._compact()
-        i = self._hi
-        key = u * self.k + v
-        self._s[i] = t
-        self._pair[i] = key
-        self._slot[t] = i
-        bucket = self._by_pair.get(key)
-        if bucket is None:
-            bucket = self._by_pair[key] = deque()
-        bucket.append(t)
-        self._hi += 1
+        # ingested before the step-t play is recorded, so s <= t - M is final.
+        # The window holds s in (last_t - M, last_t], one time per slot, so
+        # these candidates visit each slot at most once even across long gaps.
+        for s in range(self.last_t - m + 1, min(t - m, self.last_t) + 1):
+            i = s % m
+            key = int(keys[i])
+            if key != self._empty:
+                self._folded_plays[divmod(key, k)] += 1.0
+                self._converted[i] = False
+                keys[i] = keys[i + m] = self._empty
+        i = t % m
+        keys[i] = keys[i + m] = u * k + v
+        self._times[i] = t
         self.n[u, v] += 1
         self.n[v, u] += 1
         self.last_t = t
@@ -113,86 +120,25 @@ class DelayCorrectedEstimator:
         duplicate events.  Raises UnknownPlay when s should still be in the
         window but no matching play was recorded.
         """
-        idx = self._slot.get(s)
-        if idx is None:
-            if s <= self.last_t - self.m_window:
-                return False
+        if s <= self.last_t - self.m_window:
+            return False
+        i = s % self.m_window
+        key = int(self._keys[i])
+        if s > self.last_t or key == self._empty:
             raise UnknownPlay(f"no play recorded at t={s}")
-        if self._pair[idx] != u * self.k + v:
+        if key != u * self.k + v:
             raise UnknownPlay(f"play at t={s} was not of pair ({u}, {v})")
-        if s not in self._converted:
-            self._converted.add(s)
-            self._window_wins[u, v] += 1.0
+        if not self._converted[i]:
+            self._converted[i] = True
+            self._wins[u, v] += 1.0
         return True
-
-    def _fold_older_than(self, cutoff: int) -> None:
-        k = self.k
-        while self._lo < self._hi and self._s[self._lo] < cutoff:
-            i = self._lo
-            s = int(self._s[i])
-            key = int(self._pair[i])
-            u, v = divmod(key, k)
-            self._folded_plays[u, v] += 1.0
-            if s in self._converted:
-                self._converted.discard(s)
-                self._folded_wins[u, v] += 1.0
-                self._window_wins[u, v] -= 1.0
-            del self._slot[s]
-            popped = self._by_pair[key].popleft()
-            assert popped == s
-            self._lo += 1
-
-    def _compact(self) -> None:
-        size = self.window_size
-        self._s[:size] = self._s[self._lo : self._hi]
-        self._pair[:size] = self._pair[self._lo : self._hi]
-        self._lo = 0
-        self._hi = size
-        self._slot = {int(self._s[i]): i for i in range(size)}
 
     # -- per-pair queries --------------------------------------------------
 
-    def _side_sums(self, key: int, t: int) -> tuple[float, float]:
-        """(discounted weight, landed wins) over the window plays of one
-        ordered pair."""
-        bucket = self._by_pair.get(key)
-        if not bucket:
-            return 0.0, 0.0
-        m = self.m_window
-        tau = self._tau_list
-        converted = self._converted
-        w = 0.0
-        y = 0.0
-        for s in bucket:
-            age = t - s
-            if age > m:
-                age = m
-            elif age < 0:
-                age = 0
-            w += tau[age]
-            if s in converted:
-                y += 1.0
-        return w, y
-
     def pair_stats(self, i: int, j: int, t: int) -> tuple[int, float, float, float]:
         """(N_ij, Ntilde_ij, S_ij, S_ji) for pair {i, j} at step t."""
-        k = self.k
-        tm = self.tau_m
-        if i == j:
-            w, _ = self._side_sums(i * k + i, t)
-            tot = tm * self._folded_plays[i, i] + w
-            # win term and loss-correction term cancel to the weight
-            return int(self.n[i, i]), 2.0 * tot, tot, tot
-        w_ij, y_win_ij = self._side_sums(i * k + j, t)
-        w_ji, y_win_ji = self._side_sums(j * k + i, t)
-        y_ij = y_win_ij + self._folded_wins[i, j]
-        y_ji = y_win_ji + self._folded_wins[j, i]
-        a_ij = tm * self._folded_plays[i, j] + w_ij
-        a_ji = tm * self._folded_plays[j, i] + w_ji
-        n_tilde = a_ij + a_ji
-        s_ij = y_ij + (a_ji - y_ji)
-        s_ji = y_ji + (a_ij - y_ij)
-        return int(self.n[i, j]), n_tilde, s_ij, s_ji
+        n, n_tilde, s = self.matrices(t)
+        return int(n[i, j]), float(n_tilde[i, j]), float(s[i, j]), float(s[j, i])
 
     def n_tilde(self, i: int, j: int, t: int) -> float:
         return self.pair_stats(i, j, t)[1]
@@ -222,18 +168,21 @@ class DelayCorrectedEstimator:
     def lcb(self, i: int, j: int, t: int, alpha: float) -> float:
         return 1.0 - self.ucb(j, i, t, alpha)
 
-    # -- whole-matrix fast path ---------------------------------------------
+    # -- whole-matrix queries -----------------------------------------------
 
     def matrices(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(N, Ntilde, S) as K x K arrays; agrees with pair_stats entrywise."""
+        """(N, Ntilde, S) as K x K arrays at step t."""
         k = self.k
-        sl = slice(self._lo, self._hi)
-        ages = t - self._s[sl]
-        w = self.tau[np.clip(ages, 0, self.m_window)]
-        a = self.tau_m * self._folded_plays + np.bincount(
-            self._pair[sl], weights=w, minlength=k * k
-        ).reshape(k, k)
-        y = self._folded_wins + self._window_wins
+        m = self.m_window
+        h = (self.last_t + 1) % m
+        if t == self.last_t + 1:
+            w = self._next_weights
+        else:
+            times = np.concatenate((self._times[h:], self._times[:h]))
+            w = self.tau[np.clip(t - times, 0, m)]
+        window = np.bincount(self._keys[h : h + m], weights=w, minlength=k * k + 1)
+        a = self.tau_m * self._folded_plays + window[: k * k].reshape(k, k)
+        y = self._wins
         n_tilde = a + a.T
         s = y + (a.T - y.T)
         return self.n.copy(), n_tilde, s

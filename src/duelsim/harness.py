@@ -146,8 +146,10 @@ def _run_for_seed(config: ExperimentConfig, seed: int) -> RunTrace:
 
 def run_many(config: ExperimentConfig, *, policy_factory=None) -> AggregateResult:
     """All replications with pointwise mean and sample standard deviation."""
+    if config.workers > 1 and policy_factory is not None:
+        raise ValueError("policy_factory runs in-process only; set workers=1")
     seeds = [config.base_seed + r for r in range(config.runs)]
-    if config.workers > 1 and policy_factory is None:
+    if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             traces = list(pool.map(_run_for_seed, [config] * len(seeds), seeds))
     else:

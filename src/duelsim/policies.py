@@ -205,6 +205,9 @@ class RrDbDelay:
     def bound(self, i: int, j: int, t: int) -> float:
         """Corrected round-robin bound; optimistic 1 when the pair has no data."""
         n, n_tilde, s_ij, _ = self.est.pair_stats(i, j, t)
+        return self._bound(n, n_tilde, s_ij, t)
+
+    def _bound(self, n: int, n_tilde: float, s_ij: float, t: int) -> float:
         if n_tilde == 0.0:
             return 1.0
         radius = math.sqrt(
@@ -213,8 +216,9 @@ class RrDbDelay:
         return s_ij / n_tilde + radius
 
     def _eliminate(self, t: int) -> None:
+        n, n_tilde, s = (x.tolist() for x in self.est.matrices(t))
         bounds = {
-            (i, j): self.bound(i, j, t)
+            (i, j): self._bound(n[i][j], n_tilde[i][j], s[i][j], t)
             for i in self.active
             for j in self.active
             if i != j
@@ -390,14 +394,17 @@ class MrrDbDelay:
         return best if best is not None else self.active[0]
 
 
-POLICY_NAMES = ("rucb-delay", "rrdb-delay", "mrr-delay", "rucb-baseline")
-
 _FACTORIES: dict[str, Callable] = {}
 
 
 def register_policy(name: str, factory: Callable) -> None:
     """Register a policy factory; used for the built-ins and test doubles."""
     _FACTORIES[name] = factory
+
+
+def policy_names() -> list[str]:
+    """Names make_policy accepts, sorted."""
+    return sorted(_FACTORIES)
 
 
 def make_policy(
@@ -414,7 +421,7 @@ def make_policy(
 ):
     """Instantiate a policy by its registry name."""
     if name not in _FACTORIES:
-        known = ", ".join(sorted(_FACTORIES))
+        known = ", ".join(policy_names())
         raise ValueError(f"unknown policy {name!r}; known: {known}")
     if aggregated and name != "mrr-delay":
         raise ValueError(f"policy {name!r} cannot consume aggregated anonymous feedback")

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from duelsim.cli import main
+from duelsim import policies
+from duelsim.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -18,6 +19,15 @@ class TestDatasetsCommand:
         assert "arithmetic (K=10)" in out
         assert "sushi (K=16)" in out
         assert err == ""
+
+
+class TestRunParser:
+    def test_policy_choices_follow_registry(self, monkeypatch):
+        monkeypatch.setitem(policies._FACTORIES, "scripted", lambda **kw: None)
+        args = build_parser().parse_args(
+            ["run", "--dataset", "arithmetic", "--policy", "scripted"]
+        )
+        assert args.policy == "scripted"
 
 
 class TestBoundsCommand:

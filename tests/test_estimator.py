@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from duelsim import DelayCorrectedEstimator, deterministic, geometric
+from duelsim import (
+    DelayCorrectedEstimator,
+    deterministic,
+    from_table,
+    geometric,
+    uniform_delay,
+)
 from duelsim.errors import NoData, OutOfOrder, UnknownPlay
 
 
@@ -232,6 +240,97 @@ class TestAgainstBruteForce:
             est.record_play(u, v, t)
 
 
+DELAY_LAWS = st.one_of(
+    st.floats(0.05, 1.0).map(geometric),
+    st.integers(1, 20).map(deterministic),
+    st.tuples(st.integers(1, 20), st.integers(0, 10)).map(
+        lambda lo_width: uniform_delay(lo_width[0], sum(lo_width))
+    ),
+    st.lists(st.integers(0, 5), min_size=1, max_size=20)
+    .filter(any)
+    .map(lambda w: from_table(np.asarray(w) / sum(w))),
+)
+
+
+@st.composite
+def play_streams(draw):
+    """(k, m, delay law, steps); see test_matches_definitions for a step."""
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 15))
+    gap = st.one_of(
+        st.just(1), st.just(m), st.integers(2 * m + 1, 3 * m + 2), st.integers(1, m + 1)
+    )
+    step = st.tuples(
+        gap,
+        st.integers(0, k - 1),
+        st.integers(0, k - 1),
+        st.none() | st.integers(1, m),  # delay of a win that lands in the window
+        st.integers(0, 2 * m + 2),  # query offset past the new play time
+        st.none() | st.integers(0, 50),  # pick of a conversion to deliver again
+        st.none() | st.integers(0, 50),  # pick of an out-of-window play to convert
+    )
+    return k, m, draw(DELAY_LAWS), draw(st.lists(step, min_size=1, max_size=40))
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(play_streams())
+    def test_matches_definitions(self, stream):
+        """Random play streams against the brute-force definitions.
+
+        Each step first queries at last_t + 1 (the constant-weight view),
+        then delivers a duplicate and an out-of-window conversion, then
+        queries at the new play time plus an offset (the gathered weights
+        unless that is last_t + 1 again), and finally records the play.
+        """
+        k, m, dist, steps = stream
+        est = DelayCorrectedEstimator(k, m, dist.tau_table(m))
+        plays, delivered, pending = [], {}, {}
+
+        def deliver_upto(t):
+            for land in sorted(x for x in pending if x <= t):
+                for s, u, v, d in pending.pop(land):
+                    assert est.ingest_conversion(s, u, v) is True
+                    delivered[s] = d
+
+        def check(tq):
+            n_mat, nt_mat, s_mat = est.matrices(tq)
+            for i in range(k):
+                for j in range(k):
+                    stats = est.pair_stats(i, j, tq)
+                    assert stats == (n_mat[i, j], nt_mat[i, j], s_mat[i, j], s_mat[j, i])
+                    n, n_tilde, s_ij, s_ji = stats
+                    brute = brute_force_stats(plays, delivered, i, j, tq, m, dist.tau)
+                    assert n == brute[0]
+                    assert stats[1:] == pytest.approx(brute[1:], abs=1e-9)
+                    assert 0.0 <= n_tilde <= n
+                    if i != j:
+                        assert s_ij + s_ji == pytest.approx(n_tilde, abs=1e-9)
+            assert est.window_size <= m
+
+        for gap, u, v, delay, offset, again, stale in steps:
+            last_t = est.last_t
+            t = last_t + gap
+            deliver_upto(last_t + 1)
+            check(last_t + 1)
+            if again is not None and delivered:
+                s = list(delivered)[again % len(delivered)]
+                _, su, sv = next(p for p in plays if p[0] == s)
+                assert est.ingest_conversion(s, su, sv) is (s > last_t - m)
+            old = [p for p in plays if p[0] <= last_t - m]
+            if stale is not None and old:
+                s, su, sv = old[stale % len(old)]
+                assert est.ingest_conversion(s, su, sv) is False
+            deliver_upto(t)
+            check(t + offset)
+            est.record_play(u, v, t)
+            plays.append((t, u, v))
+            if delay is not None:
+                pending.setdefault(t + delay, []).append((t, u, v, delay))
+        deliver_upto(est.last_t + m)
+        check(est.last_t + m)
+
+
 class TestPreferenceEstimate:
     def test_no_delay_equals_empirical_frequency(self):
         dist = deterministic(1)
@@ -312,7 +411,7 @@ class TestConfidenceBounds:
         est, _ = make_est(k=2, m=5)
         est.n[0, 1] = est.n[1, 0] = 100
         est._folded_plays[0, 1] = 50.0
-        est._folded_wins[0, 1] = 30.0
+        est._wins[0, 1] = 30.0
         est.tau_m = 1.0
         # Ntilde = tau_m * 50 = 50, S = 30 + (0 - 0) = 30 -> mu_hat 0.6
         u = est.ucb(0, 1, 1000, 1.0)
@@ -382,10 +481,10 @@ class TestStorageAndDump:
                 if d <= 40:
                     pending.setdefault(t + d, []).append((t, u, v))
         assert est.window_size <= 40
-        assert len(est._slot) <= 40
-        assert est._s.shape[0] == 2 * 40 + 2
-        assert sum(len(q) for q in est._by_pair.values()) == est.window_size
-        assert len(est._converted) <= est.window_size
+        assert est._keys.shape == (2 * 40,)
+        assert est._times.shape == (40,)
+        assert est._converted.shape == (40,)
+        assert np.count_nonzero(est._converted) <= est.window_size
 
     def test_debug_dump_format(self, tmp_path):
         est, _ = make_est(k=2)

@@ -115,6 +115,10 @@ class TestRunMany:
         result = run_many(config(runs=3, base_seed=100))
         assert [tr.seed for tr in result.runs] == [100, 101, 102]
 
+    def test_policy_factory_with_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers=1"):
+            run_many(config(workers=2), policy_factory=lambda m, rng: ConstantPolicy(0, 0))
+
 
 class TestWriteResults:
     def test_file_shapes_and_headers(self, tmp_path):

@@ -62,8 +62,8 @@ class TestRucbDelaySelection:
         est.n[1, 2] = est.n[2, 1] = 400
         est._folded_plays[1, 0] = 200.0
         est._folded_plays[1, 2] = 200.0
-        est._folded_wins[1, 0] = 20.0
-        est._folded_wins[1, 2] = 20.0
+        est._wins[1, 0] = 20.0
+        est._wins[1, 2] = 20.0
         ucb = est.ucb_matrix(1000, 1.0)
         assert ucb[1, 0] < 0.5 and ucb[1, 2] < 0.5
         champs = np.flatnonzero(np.all(ucb >= 0.5, axis=1))
@@ -166,7 +166,7 @@ class TestRrDbDelay:
         est = pol.est
         est.n[0, 1] = est.n[1, 0] = 100
         est._folded_plays[0, 1] = 50.0
-        est._folded_wins[0, 1] = 30.0
+        est._wins[0, 1] = 30.0
         # Ntilde = 50, mu_hat = 0.6
         got = pol.bound(0, 1, 1000)
         expected = 0.6 + math.sqrt(100 * math.log(10 * 1000 / 0.001) / 2500)
@@ -180,7 +180,7 @@ class TestRrDbDelay:
             est = pol.est
             est.n[0, 1] = est.n[1, 0] = 20
             est._folded_plays[0, 1] = 20.0
-            est._folded_wins[0, 1] = 10.0
+            est._wins[0, 1] = 10.0
             values.append(pol.bound(0, 1, 500))
         assert values[0] > values[1] > values[2]
 
@@ -190,8 +190,8 @@ class TestRrDbDelay:
         est.n[0, 1] = est.n[1, 0] = 80
         est._folded_plays[0, 1] = 50.0
         est._folded_plays[1, 0] = 30.0
-        est._folded_wins[0, 1] = 40.0
-        est._folded_wins[1, 0] = 10.0
+        est._wins[0, 1] = 40.0
+        est._wins[1, 0] = 10.0
         # tau == 1: mu_hat = wins/N and the radius collapses to sqrt(log(Kt/d)/N)
         mu_hat = (40.0 + (30.0 - 10.0)) / 80.0
         expected = mu_hat + math.sqrt(math.log(4 * 900 / 0.01) / 80)
