@@ -51,6 +51,9 @@ GOLDEN = {
     ("mrr-delay", "det:1", True): (
         "e568b9a44657970eac19e2b0f84e7332d9bc61856698cd1846c314f2d8cff7fe"
     ),
+    ("mrr-delay", "geometric:0.1", True): (
+        "f4f344cf500b51e67364abc870f0f34c81b39c34a65bf2c593b1177f2f7a6640"
+    ),
 }
 
 
