@@ -9,6 +9,11 @@ Protocol per step t:
 
 Losses never "arrive": only conversions are ever announced, which is what
 biases naive statistics toward the second arm of each pair.
+
+The environment keeps only the wins that have not been delivered yet,
+keyed by landing step, so its storage is O(pending wins), not O(t).  Each
+step's conversions are handed out once: observing step t removes them.
+The full censored view Y_{s,t} is the running union of those deliveries.
 """
 
 from __future__ import annotations
@@ -120,13 +125,9 @@ class PendingOutcome:
     def lands_at(self) -> int:
         return self.s + self.d
 
-    def visible(self, t: int) -> int:
-        """Y_{s,t}: 1 iff the win has converted by step t."""
-        return 1 if (self.x == 1 and self.d <= t - self.s) else 0
-
 
 class DuelingEnvironment:
-    """Single-run environment: outcome sampling, delays, observation views.
+    """Single-run environment: outcome sampling, delays, conversion delivery.
 
     Per step exactly one uniform draw decides the outcome, then the delay
     is sampled (deterministic delays consume no randomness).  Instances
@@ -147,9 +148,8 @@ class DuelingEnvironment:
         self.horizon = horizon
         self.aggregated = aggregated
         self.t = 1  # next step to play
-        self.history: list[PendingOutcome] = []
+        # undelivered wins by landing step
         self._landings: dict[int, list[PendingOutcome]] = {}
-        self._landing_counts: dict[int, int] = {}
 
     @property
     def k(self) -> int:
@@ -165,37 +165,27 @@ class DuelingEnvironment:
         x = 1 if self.rng.random() < self.matrix.mu[u, v] else 0
         d = self.delay.sample(self.rng)
         out = PendingOutcome(s=self.t, u=u, v=v, x=x, d=d)
-        self.history.append(out)
         if x == 1:
             self._landings.setdefault(out.lands_at, []).append(out)
-            self._landing_counts[out.lands_at] = (
-                self._landing_counts.get(out.lands_at, 0) + 1
-            )
         self.t += 1
         return out
 
-    def observe(self, t: int) -> list[tuple[int, int]]:
-        """Full censored view at step t: (s, Y_{s,t}) for every play s < t."""
-        self._require_standard()
-        self._check_time(t)
-        return [(o.s, o.visible(t)) for o in self.history if o.s < t]
-
     def observe_new(self, t: int) -> list[PendingOutcome]:
-        """Conversions landing exactly at step t (the event view).
+        """Conversions landing exactly at step t, delivered once.
 
-        Interconvertible with observe(): Y_{s,t} = 1 iff some earlier
-        observe_new(t') with t' <= t contained play s.
+        Y_{s,t} = 1 iff some observe_new(t') with t' <= t contained play s.
+        A second call for the same t returns [].
         """
         self._require_standard()
         self._check_time(t)
-        return self._landings.get(t, [])
+        return self._landings.pop(t, [])
 
     def observe_aggregated(self, t: int) -> int:
-        """Anonymous count of conversions landing exactly at step t."""
+        """Anonymous count of the conversions landing at step t, delivered once."""
         if not self.aggregated:
             raise ModeMismatch("environment is not in aggregated mode")
         self._check_time(t)
-        return self._landing_counts.get(t, 0)
+        return len(self._landings.pop(t, ()))
 
     def _require_standard(self) -> None:
         if self.aggregated:

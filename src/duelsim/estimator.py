@@ -140,12 +140,6 @@ class DelayCorrectedEstimator:
         n, n_tilde, s = self.matrices(t)
         return int(n[i, j]), float(n_tilde[i, j]), float(s[i, j]), float(s[j, i])
 
-    def n_tilde(self, i: int, j: int, t: int) -> float:
-        return self.pair_stats(i, j, t)[1]
-
-    def s_stat(self, i: int, j: int, t: int) -> float:
-        return self.pair_stats(i, j, t)[2]
-
     def mu_hat(self, i: int, j: int, t: int) -> float:
         """Unbiased preference estimate S/Ntilde; deliberately unclipped."""
         _, n_tilde, s_ij, _ = self.pair_stats(i, j, t)
@@ -164,9 +158,6 @@ class DelayCorrectedEstimator:
         if n_tilde == 0.0:
             return 1.0
         return s_ij / n_tilde + math.sqrt(alpha * n * math.log(t) / (n_tilde * n_tilde))
-
-    def lcb(self, i: int, j: int, t: int, alpha: float) -> float:
-        return 1.0 - self.ucb(j, i, t, alpha)
 
     # -- whole-matrix queries -----------------------------------------------
 

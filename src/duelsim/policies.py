@@ -111,8 +111,14 @@ class RucbDelay:
     def active_arms(self):
         return None
 
-    def declared_winner(self) -> int | None:
-        return self.best
+    def declared_winner(self) -> int:
+        """The remembered champion, else the arm with the best worst-case
+        lower bound max_i min_{j != i} (1 - U_ji), lowest index on ties."""
+        if self.best is not None:
+            return self.best
+        lcb = 1.0 - self.est.ucb_matrix(self.est.last_t + 1, self.alpha).T
+        np.fill_diagonal(lcb, np.inf)
+        return int(np.argmax(lcb.min(axis=1)))
 
 
 class RucbBaseline:

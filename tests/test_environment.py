@@ -112,34 +112,38 @@ class TestEnvStep:
         assert abs(np.corrcoef(x, d)[0, 1]) < 4 / np.sqrt(20000)
 
 
+def censored_view(outcomes, t):
+    """Full censored view at step t: (s, Y_{s,t}) for every play s < t."""
+    return [(o.s, 1 if o.x == 1 and o.d <= t - o.s else 0) for o in outcomes if o.s < t]
+
+
 class TestObservation:
     def test_loss_never_visible(self):
         mu = np.full((2, 2), 0.5)
         mu[0, 1], mu[1, 0] = 1.0, 0.0
         env = DuelingEnvironment(validate_matrix(mu), deterministic(2), np.random.default_rng(0))
-        env.step(1, 0)  # x = 0 surely
+        outs = [env.step(1, 0)]  # x = 0 surely
         for t in range(2, 30):
-            env.step(1, 0)
-            assert env.observe(t)[0] == (1, 0)
+            outs.append(env.step(1, 0))
+            assert censored_view(outs, t)[0] == (1, 0)
 
     def test_censoring_definition(self):
         # play at s=10 with delay 2 becomes visible exactly at t=12
         mu = np.full((2, 2), 0.5)
         mu[0, 1], mu[1, 0] = 1.0, 0.0
         env = DuelingEnvironment(validate_matrix(mu), deterministic(2), np.random.default_rng(1))
-        for _ in range(9):
-            env.step(1, 0)  # losses, invisible
+        outs = [env.step(1, 0) for _ in range(9)]  # losses, invisible
         out = env.step(0, 1)
         assert out.s == 10 and out.x == 1 and out.d == 2
-        env.step(1, 0)
-        env.step(1, 0)
-        y_by_t = {t: dict(env.observe(t)).get(10) for t in (11, 12)}
+        outs += [out, env.step(1, 0), env.step(1, 0)]
+        y_by_t = {t: dict(censored_view(outs, t)).get(10) for t in (11, 12)}
         assert y_by_t == {11: 0, 12: 1}
+        assert env.observe_new(11) == [] and env.observe_new(12) == [out]
 
     def test_unit_delay_reveals_everything_next_step(self):
         env = DuelingEnvironment(arithmetic_matrix(5), deterministic(1), np.random.default_rng(2))
         outs = [env.step(0, 1) for _ in range(50)]
-        view = dict(env.observe(51))
+        view = dict(censored_view(outs, 51))
         assert view == {o.s: o.x for o in outs}
 
     def test_visibility_monotone_and_bounded_by_outcome(self):
@@ -147,7 +151,7 @@ class TestObservation:
         outs = [env.step(0, 1) for _ in range(40)]
         series = {o.s: [] for o in outs}
         for t in range(1, 42):
-            for s, y in env.observe(t):
+            for s, y in censored_view(outs, t):
                 series[s].append(y)
         for o in outs:
             ys = series[o.s]
@@ -160,19 +164,52 @@ class TestObservation:
 
     def test_event_view_interconvertible_with_full_view(self):
         env = DuelingEnvironment(arithmetic_matrix(5), geometric(0.3), np.random.default_rng(4))
-        for _ in range(60):
-            env.step(1, 2)
+        outs = [env.step(1, 2) for _ in range(60)]
         landed: set[int] = set()
         for t in range(1, 61):
             landed |= {o.s for o in env.observe_new(t)}
-            reconstructed = {s: (1 if s in landed else 0) for s, _ in env.observe(t)}
-            assert reconstructed == dict(env.observe(t))
+            reconstructed = {s: (1 if s in landed else 0) for s, _ in censored_view(outs, t)}
+            assert reconstructed == dict(censored_view(outs, t))
 
     def test_cannot_observe_future(self):
         env = DuelingEnvironment(arithmetic_matrix(5), deterministic(1), np.random.default_rng(5))
         env.step(0, 1)
         with pytest.raises(ValueError):
-            env.observe(5)
+            env.observe_new(5)
+
+
+class TestDelivery:
+    def _env(self, aggregated, delay=deterministic(2)):
+        mu = np.full((2, 2), 0.5)
+        mu[0, 1], mu[1, 0] = 1.0, 0.0
+        return DuelingEnvironment(
+            validate_matrix(mu), delay, np.random.default_rng(0), aggregated=aggregated
+        )
+
+    def test_each_step_delivered_once(self):
+        std = self._env(aggregated=False)
+        out = std.step(0, 1)  # s=1 wins, lands at 3
+        std.step(0, 1)
+        std.step(0, 1)
+        assert std.observe_new(3) == [out]
+        assert std.observe_new(3) == []
+        agg = self._env(aggregated=True)
+        for _ in range(3):
+            agg.step(0, 1)
+        assert agg.observe_aggregated(3) == 1
+        assert agg.observe_aggregated(3) == 0
+
+    @pytest.mark.parametrize("aggregated", [False, True])
+    def test_undelivered_wins_stay_bounded(self, aggregated):
+        # every play wins and lands 100 steps later: at most 100 are pending
+        env = self._env(aggregated, delay=deterministic(100))
+        observe = env.observe_aggregated if aggregated else env.observe_new
+        peak = 0
+        for t in range(1, 5001):
+            observe(t)
+            env.step(0, 1)
+            peak = max(peak, sum(len(w) for w in env._landings.values()))
+        assert peak == 100
 
 
 class TestAggregatedMode:
@@ -187,8 +224,6 @@ class TestAggregatedMode:
             std.observe_aggregated(1)
         agg = self._env()
         agg.step(0, 1)
-        with pytest.raises(ModeMismatch):
-            agg.observe(1)
         with pytest.raises(ModeMismatch):
             agg.observe_new(1)
 

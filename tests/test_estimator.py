@@ -86,7 +86,7 @@ class TestIngestConversion:
         est.record_play(0, 1, 1)
         est.record_play(0, 2, 2)
         est.ingest_conversion(1, 0, 1)
-        assert est.s_stat(0, 1, 4) == 1.0
+        assert est.pair_stats(0, 1, 4)[2] == 1.0
 
     def test_conversion_at_age_m_plus_one_discarded(self):
         est, dist = make_est(m=5)
@@ -94,9 +94,9 @@ class TestIngestConversion:
         for t in range(2, 8):
             est.record_play(1, 2, t)
         # last record at t=7 folded the s=1 play (age 6 > 5)
-        before = est.s_stat(0, 1, 7)
+        before = est.pair_stats(0, 1, 7)[2]
         assert est.ingest_conversion(1, 0, 1) is False
-        assert est.s_stat(0, 1, 7) == before
+        assert est.pair_stats(0, 1, 7)[2] == before
 
     def test_conversion_at_age_exactly_m_counts(self):
         est, dist = make_est(m=5)
@@ -114,7 +114,7 @@ class TestIngestConversion:
         est.record_play(0, 1, 1)
         est.ingest_conversion(1, 0, 1)
         est.ingest_conversion(1, 0, 1)
-        assert est.s_stat(0, 1, 3) == 1.0
+        assert est.pair_stats(0, 1, 3)[2] == 1.0
 
     def test_unknown_play_raises(self):
         est, _ = make_est()
@@ -129,7 +129,7 @@ class TestDiscountedCount:
     def test_single_play_weight_is_tau_of_age(self):
         est, dist = make_est(p=0.01)
         est.record_play(0, 1, 1)
-        assert est.n_tilde(0, 1, 3) == pytest.approx(1 - 0.99**2)  # 0.0199
+        assert est.pair_stats(0, 1, 3)[1] == pytest.approx(1 - 0.99**2)  # 0.0199
 
     def test_no_delay_reduces_to_plain_count(self):
         dist = deterministic(1)
@@ -140,7 +140,7 @@ class TestDiscountedCount:
             est.record_play(u, v, t)
         for i in range(3):
             for j in range(3):
-                assert est.n_tilde(i, j, 100) == est.n[i, j]
+                assert est.pair_stats(i, j, 100)[1] == est.n[i, j]
 
     def test_old_play_contributes_exactly_tau_m(self):
         est, dist = make_est(m=10)
@@ -148,9 +148,9 @@ class TestDiscountedCount:
         for t in range(2, 30):
             est.record_play(1, 2, t)
         tau_m = dist.tau(10)
-        assert est.n_tilde(0, 1, 30) == pytest.approx(tau_m + 0.0, abs=1e-12)
+        assert est.pair_stats(0, 1, 30)[1] == pytest.approx(tau_m + 0.0, abs=1e-12)
         # still tau_m much later
-        assert est.n_tilde(0, 1, 300) == pytest.approx(tau_m, abs=1e-12)
+        assert est.pair_stats(0, 1, 300)[1] == pytest.approx(tau_m, abs=1e-12)
 
     def test_bracketed_by_tau1_and_tau_m_times_n(self):
         est, dist = make_est(k=2, m=30, p=0.2)
@@ -169,11 +169,11 @@ class TestDiscountedCount:
         est.record_play(1, 2, 50)  # ages 49, 48, 47 all fold at once
         assert est.window_size == 1
         tau_m = dist.tau(10)
-        assert est.n_tilde(0, 1, 51) == pytest.approx(3 * tau_m)
+        assert est.pair_stats(0, 1, 51)[1] == pytest.approx(3 * tau_m)
         # conversions for the folded plays are quietly discarded
         assert est.ingest_conversion(2, 0, 1) is False
-        assert est.s_stat(0, 1, 51) == 0.0  # no wins ever landed for arm 0
-        assert est.s_stat(1, 0, 51) == pytest.approx(3 * tau_m)  # correction side
+        assert est.pair_stats(0, 1, 51)[2] == 0.0  # no wins ever landed for arm 0
+        assert est.pair_stats(1, 0, 51)[2] == pytest.approx(3 * tau_m)  # correction side
 
 
 class TestBiasCorrectedCount:
@@ -181,13 +181,13 @@ class TestBiasCorrectedCount:
         est, _ = make_est()
         est.record_play(0, 1, 1)
         est.ingest_conversion(1, 0, 1)
-        assert est.s_stat(0, 1, 5) == 1.0
+        assert est.pair_stats(0, 1, 5)[2] == 1.0
 
     def test_unconverted_second_position_counts_tau(self):
         est, dist = make_est()
         est.record_play(1, 0, 1)  # play of (j, i) from the view of pair (0, 1)
         age = 3
-        assert est.s_stat(0, 1, 1 + age) == pytest.approx(dist.tau(age))
+        assert est.pair_stats(0, 1, 1 + age)[2] == pytest.approx(dist.tau(age))
 
     def test_identity_holds_on_random_stream(self):
         est, dist = make_est(k=4, m=25, p=0.15)
@@ -421,7 +421,7 @@ class TestConfidenceBounds:
     def test_no_data_defaults(self):
         est, _ = make_est()
         assert est.ucb(0, 1, 10, 1.0) == 1.0
-        assert est.lcb(0, 1, 10, 1.0) == 0.0
+        assert 1.0 - est.ucb(1, 0, 10, 1.0) == 0.0
 
     def test_ucb_lcb_complement(self):
         est, dist = make_est(k=3, m=15, p=0.25)
@@ -439,7 +439,10 @@ class TestConfidenceBounds:
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert est.ucb(i, j, 300, 1.0) + est.lcb(j, i, 300, 1.0) == pytest.approx(1.0)
+                    # 1 - U_ij is j's lower bound against i: mu_hat_ji minus the radius
+                    radius = est.ucb(j, i, 300, 1.0) - est.mu_hat(j, i, 300)
+                    lcb_ji = 1.0 - est.ucb(i, j, 300, 1.0)
+                    assert lcb_ji == pytest.approx(est.mu_hat(j, i, 300) - radius)
 
     def test_matrix_path_agrees_with_pair_queries(self):
         est, dist = make_est(k=4, m=20, p=0.2)

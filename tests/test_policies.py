@@ -78,6 +78,23 @@ class TestRucbDelaySelection:
             env.step(a.u, a.v)
             assert pol.best is None or isinstance(pol.best, int)
 
+    def test_declared_winner_without_single_champion(self):
+        pol = fresh_policy("rucb-delay", k=4, seed=0)
+        run_actions(arithmetic_matrix(4), geometric(0.1), pol, 20)
+        t = pol.est.last_t + 1
+        ucb = pol.est.ucb_matrix(t, pol.alpha)
+        assert np.count_nonzero(np.all(ucb >= 0.5, axis=1)) > 1 and pol.best is None
+        worst_lcb = [
+            min(1.0 - pol.est.ucb(j, i, t, pol.alpha) for j in range(4) if j != i)
+            for i in range(4)
+        ]
+        assert pol.declared_winner() == worst_lcb.index(max(worst_lcb))
+
+    def test_declared_winner_keeps_remembered_best(self):
+        pol = fresh_policy("rucb-delay", k=4, seed=3)
+        pol.best = 2
+        assert pol.declared_winner() == 2
+
     def test_deterministic_per_seed(self):
         runs = []
         for _ in range(2):
