@@ -116,7 +116,8 @@ def from_table(probs) -> DelayDistribution:
         raise ValueError(f"delay table must sum to 1 (got {total})")
     arr = arr / total
     mean = float(np.dot(arr, np.arange(1, arr.size + 1)))
-    cum = np.cumsum(arr)
+    # rounding can carry the running sum past 1 before the last entry
+    cum = np.minimum(np.cumsum(arr), 1.0)
     cum[-1] = 1.0
     return DelayDistribution("table", tuple(float(x) for x in arr), mean, _cum=cum)
 

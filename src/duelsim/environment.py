@@ -14,11 +14,13 @@ The environment keeps only the wins that have not been delivered yet,
 keyed by landing step, so its storage is O(pending wins), not O(t).  Each
 step's conversions are handed out once: observing step t removes them.
 The full censored view Y_{s,t} is the running union of those deliveries.
+Each play's hidden truth is a PendingOutcome, an immutable NamedTuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +100,8 @@ class RegretTracker:
     """Accumulates true per-step regret (gap_u + gap_v) / 2."""
 
     def __init__(self, matrix: PreferenceMatrix):
-        self.gaps = matrix.gaps()
+        # Python floats: the running sum stays a float, with the same IEEE results
+        self.gaps: list[float] = matrix.gaps().tolist()
         self.cumulative = 0.0
 
     def instant_regret(self, u: int, v: int) -> float:
@@ -107,8 +110,7 @@ class RegretTracker:
         return r
 
 
-@dataclass(frozen=True)
-class PendingOutcome:
+class PendingOutcome(NamedTuple):
     """Hidden truth of one comparison: played at s, outcome x, delay d.
 
     If x = 1 the conversion lands at step s + d; if x = 0 nothing is ever
@@ -147,27 +149,27 @@ class DuelingEnvironment:
         self.rng = rng
         self.horizon = horizon
         self.aggregated = aggregated
+        self.k = matrix.k
+        # nested lists: one Python float read per step, no numpy scalar
+        self._mu: list[list[float]] = matrix.mu.tolist()
         self.t = 1  # next step to play
         # undelivered wins by landing step
         self._landings: dict[int, list[PendingOutcome]] = {}
-
-    @property
-    def k(self) -> int:
-        return self.matrix.k
 
     def step(self, u: int, v: int) -> PendingOutcome:
         """Play (u, v) at the current step and advance time by one."""
         k = self.k
         if not (0 <= u < k and 0 <= v < k):
             raise ValueError(f"arm pair ({u}, {v}) out of range for k={k}")
-        if self.horizon is not None and self.t > self.horizon:
-            raise HorizonExceeded(f"step {self.t} past horizon {self.horizon}")
-        x = 1 if self.rng.random() < self.matrix.mu[u, v] else 0
+        t = self.t
+        if self.horizon is not None and t > self.horizon:
+            raise HorizonExceeded(f"step {t} past horizon {self.horizon}")
+        x = 1 if self.rng.random() < self._mu[u][v] else 0
         d = self.delay.sample(self.rng)
-        out = PendingOutcome(s=self.t, u=u, v=v, x=x, d=d)
+        out = PendingOutcome(t, u, v, x, d)
         if x == 1:
-            self._landings.setdefault(out.lands_at, []).append(out)
-        self.t += 1
+            self._landings.setdefault(t + d, []).append(out)
+        self.t = t + 1
         return out
 
     def observe_new(self, t: int) -> list[PendingOutcome]:

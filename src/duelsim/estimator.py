@@ -137,7 +137,7 @@ class DelayCorrectedEstimator:
 
     def pair_stats(self, i: int, j: int, t: int) -> tuple[int, float, float, float]:
         """(N_ij, Ntilde_ij, S_ij, S_ji) for pair {i, j} at step t."""
-        n, n_tilde, s = self.matrices(t)
+        n, n_tilde, s = self._stats(t)
         return int(n[i, j]), float(n_tilde[i, j]), float(s[i, j]), float(s[j, i])
 
     def mu_hat(self, i: int, j: int, t: int) -> float:
@@ -162,7 +162,12 @@ class DelayCorrectedEstimator:
     # -- whole-matrix queries -----------------------------------------------
 
     def matrices(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(N, Ntilde, S) as K x K arrays at step t."""
+        """(N, Ntilde, S) as K x K arrays at step t; N is a copy."""
+        n, n_tilde, s = self._stats(t)
+        return n.copy(), n_tilde, s
+
+    def _stats(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """matrices(t), but N is the live count array, not a copy."""
         k = self.k
         m = self.m_window
         h = (self.last_t + 1) % m
@@ -176,15 +181,17 @@ class DelayCorrectedEstimator:
         y = self._wins
         n_tilde = a + a.T
         s = y + (a.T - y.T)
-        return self.n.copy(), n_tilde, s
+        return self.n, n_tilde, s
 
     def ucb_matrix(self, t: int, alpha: float) -> np.ndarray:
         """All bounds at once: diagonal 1/2, no-data pairs 1."""
-        n, n_tilde, s = self.matrices(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = s / n_tilde + np.sqrt(alpha * n * math.log(t) / (n_tilde * n_tilde))
-        u[n_tilde == 0.0] = 1.0
-        np.fill_diagonal(u, 0.5)
+        n, n_tilde, s = self._stats(t)
+        # no-data pairs divide by 1 instead of 0 and are overwritten below
+        empty = n_tilde == 0.0
+        n_tilde = n_tilde + empty
+        u = s / n_tilde + np.sqrt(alpha * n * math.log(t) / (n_tilde * n_tilde))
+        u[empty] = 1.0
+        u.ravel()[:: self.k + 1] = 0.5
         return u
 
     def debug_rows(self, t: int, alpha: float):

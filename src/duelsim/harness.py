@@ -118,14 +118,16 @@ def run_one(
     horizon = config.horizon
     times: list[int] = []
     regret: list[float] = []
+    if config.aggregated:
+        deliver, feed = env.observe_aggregated, policy.observe_count
+    else:
+        deliver, feed = env.observe_new, policy.observe
+    select, step, charge = policy.select, env.step, tracker.instant_regret
     for t in range(1, horizon + 1):
-        if config.aggregated:
-            policy.observe_count(t, env.observe_aggregated(t))
-        else:
-            policy.observe(t, env.observe_new(t))
-        u, v = policy.select(t)
-        env.step(u, v)
-        tracker.instant_regret(u, v)
+        feed(t, deliver(t))
+        u, v = select(t)
+        step(u, v)
+        charge(u, v)
         if t % stride == 0 or t == horizon:
             times.append(t)
             regret.append(tracker.cumulative)

@@ -48,31 +48,38 @@ def _champion_pair(
     Returns (u, v, new_best).  See the module docstring for the draw order.
     """
     k = ucb.shape[0]
-    champions = np.flatnonzero(np.all(ucb >= 0.5, axis=1))
-    if best is not None and best not in champions:
+    champions = [i for i, low in enumerate(ucb.min(axis=1).tolist()) if low >= 0.5]
+    if best not in champions:
         best = None
-    if champions.size == 0:
+    if not champions:
         u = int(rng.integers(k))
-    elif champions.size == 1:
-        u = int(champions[0])
-        best = u
+    elif len(champions) == 1:
+        u = best = champions[0]
     elif best is not None:
         if rng.random() < 0.5:
             u = best
         else:
-            rest = champions[champions != best]
-            u = int(rest[rng.integers(rest.size)])
+            rest = [i for i in champions if i != best]
+            u = rest[rng.integers(len(rest))]
     else:
-        u = int(champions[rng.integers(champions.size)])
+        u = champions[rng.integers(len(champions))]
 
-    column = ucb[:, u]
-    maxers = np.flatnonzero(column == column.max())
-    if maxers.size == 1:
-        v = int(maxers[0])
+    column = ucb[:, u].tolist()
+    top = max(column)
+    maxers = [i for i, x in enumerate(column) if x == top]
+    if len(maxers) == 1:
+        v = maxers[0]
     else:
-        others = maxers[maxers != u]
-        v = int(others[0]) if others.size == 1 else int(others[rng.integers(others.size)])
+        others = [i for i in maxers if i != u]
+        v = others[0] if len(others) == 1 else others[rng.integers(len(others))]
     return u, v, best
+
+
+def _best_worst_case(ucb: np.ndarray) -> int:
+    """argmax_i min_{j != i} (1 - U_ji), lowest index on ties."""
+    lcb = 1.0 - ucb.T
+    np.fill_diagonal(lcb, np.inf)
+    return int(np.argmax(lcb.min(axis=1)))
 
 
 class RucbDelay:
@@ -116,9 +123,7 @@ class RucbDelay:
         lower bound max_i min_{j != i} (1 - U_ji), lowest index on ties."""
         if self.best is not None:
             return self.best
-        lcb = 1.0 - self.est.ucb_matrix(self.est.last_t + 1, self.alpha).T
-        np.fill_diagonal(lcb, np.inf)
-        return int(np.argmax(lcb.min(axis=1)))
+        return _best_worst_case(self.est.ucb_matrix(self.est.last_t + 1, self.alpha))
 
 
 class RucbBaseline:
@@ -142,6 +147,7 @@ class RucbBaseline:
         self.rng = rng
         self.wins = np.zeros((k, k), dtype=np.float64)
         self.best: int | None = None
+        self.last_t = 0
         self._unobserved: tuple[int, int, int] | None = None  # (s, u, v)
 
     def _ucb_matrix(self, t: int) -> np.ndarray:
@@ -155,6 +161,7 @@ class RucbBaseline:
     def select(self, t: int) -> PolicyAction:
         u, v, self.best = _champion_pair(self._ucb_matrix(t), self.best, self.rng)
         self._unobserved = (t, u, v)
+        self.last_t = t
         return PolicyAction(u, v)
 
     def observe(self, t: int, conversions) -> None:
@@ -172,8 +179,12 @@ class RucbBaseline:
     def active_arms(self):
         return None
 
-    def declared_winner(self) -> int | None:
-        return self.best
+    def declared_winner(self) -> int:
+        """The remembered champion, else RucbDelay's rule on these bounds at
+        the step after the last select: max_i min_{j != i} (1 - U_ji)."""
+        if self.best is not None:
+            return self.best
+        return _best_worst_case(self._ucb_matrix(self.last_t + 1))
 
 
 class RrDbDelay:

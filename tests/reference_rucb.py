@@ -11,6 +11,39 @@ import numpy as np
 from duelsim import DuelingEnvironment, deterministic
 
 
+def reference_champion_pair(ucb, best, rng):
+    """Champion/challenger pick in the documented draw order, on numpy arrays.
+
+    Returns (u, v, new_best), like the library's selection step.
+    """
+    k = ucb.shape[0]
+    champs = np.flatnonzero(np.all(ucb >= 0.5, axis=1))
+    if best is not None and best not in champs:
+        best = None
+    if champs.size == 0:
+        u = int(rng.integers(k))
+    elif champs.size == 1:
+        u = int(champs[0])
+        best = u
+    elif best is not None:
+        if rng.random() < 0.5:
+            u = best
+        else:
+            rest = champs[champs != best]
+            u = int(rest[rng.integers(rest.size)])
+    else:
+        u = int(champs[rng.integers(champs.size)])
+
+    col = ucb[:, u]
+    maxers = np.flatnonzero(col == col.max())
+    if maxers.size == 1:
+        v = int(maxers[0])
+    else:
+        others = maxers[maxers != u]
+        v = int(others[0]) if others.size == 1 else int(others[rng.integers(others.size)])
+    return u, v, best
+
+
 def classical_rucb_actions(matrix, horizon, seed, alpha=1.0):
     env_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
     env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(env_seq))
@@ -26,31 +59,7 @@ def classical_rucb_actions(matrix, horizon, seed, alpha=1.0):
         ucb[n == 0.0] = 1.0
         np.fill_diagonal(ucb, 0.5)
 
-        champs = np.flatnonzero(np.all(ucb >= 0.5, axis=1))
-        if best is not None and best not in champs:
-            best = None
-        if champs.size == 0:
-            u = int(rng.integers(k))
-        elif champs.size == 1:
-            u = int(champs[0])
-            best = u
-        elif best is not None:
-            if rng.random() < 0.5:
-                u = best
-            else:
-                rest = champs[champs != best]
-                u = int(rest[rng.integers(rest.size)])
-        else:
-            u = int(champs[rng.integers(champs.size)])
-
-        col = ucb[:, u]
-        maxers = np.flatnonzero(col == col.max())
-        if maxers.size == 1:
-            v = int(maxers[0])
-        else:
-            others = maxers[maxers != u]
-            v = int(others[0]) if others.size == 1 else int(others[rng.integers(others.size)])
-
+        u, v, best = reference_champion_pair(ucb, best, rng)
         actions.append((u, v))
         outcome = env.step(u, v)
         if outcome.x == 1:

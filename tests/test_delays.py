@@ -45,7 +45,9 @@ def test_table_cdf_mean_and_validation():
 
 
 def test_cdf_monotone_in_unit_interval():
-    for d in (geometric(0.3), deterministic(4), uniform_delay(1, 7), from_table([0.1, 0.9])):
+    # the cumulative sum of [1/6, 4/6, 1/6, 0] passes 1 before its last entry
+    tables = (from_table([0.1, 0.9]), from_table([1 / 6, 4 / 6, 1 / 6, 0.0]))
+    for d in (geometric(0.3), deterministic(4), uniform_delay(1, 7), *tables):
         taus = [d.tau(x) for x in range(0, 30)]
         assert all(0.0 <= x <= 1.0 for x in taus)
         assert all(b >= a for a, b in zip(taus, taus[1:]))

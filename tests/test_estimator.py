@@ -469,6 +469,61 @@ class TestConfidenceBounds:
                         assert umat[i, j] == pytest.approx(est.ucb(i, j, t, 1.0), abs=1e-12)
 
 
+def errstate_ucb_matrix(est, t, alpha):
+    """The whole-matrix bound as first written, under np.errstate."""
+    n, n_tilde, s = est.matrices(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = s / n_tilde + np.sqrt(alpha * n * math.log(t) / (n_tilde * n_tilde))
+    u[n_tilde == 0.0] = 1.0
+    np.fill_diagonal(u, 0.5)
+    return u
+
+
+class TestUcbMatrix:
+    LAWS = [geometric(0.2), deterministic(5), uniform_delay(2, 9)]
+
+    @staticmethod
+    def assert_same_bounds(est, t, alpha):
+        with np.errstate(all="raise"):
+            got = est.ucb_matrix(t, alpha)
+        assert np.array_equal(got, errstate_ucb_matrix(est, t, alpha))
+
+    @pytest.mark.parametrize("dist", LAWS)
+    def test_fresh_estimator(self, dist):
+        est = DelayCorrectedEstimator(4, 10, dist.tau_table(10))
+        for t in (1, 2, 50):
+            self.assert_same_bounds(est, t, 1.0)
+
+    @pytest.mark.parametrize("dist", LAWS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_after_random_plays(self, dist, seed):
+        k, m = 4, 10
+        est = DelayCorrectedEstimator(k, m, dist.tau_table(m))
+        rng = np.random.default_rng(seed)
+        pending: dict[int, list] = {}
+        for t in range(1, 120):
+            for (s, u, v) in pending.pop(t, []):
+                est.ingest_conversion(s, u, v)
+            # at last_t + 1, the query time of the hot loop
+            self.assert_same_bounds(est, t, 1.5)
+            # elsewhere: earlier t leave recorded plays with zero weight
+            for tq in (max(1, t - 3), t + 7):
+                self.assert_same_bounds(est, tq, 1.0)
+            u, v = int(rng.integers(k)), int(rng.integers(k))
+            if rng.random() < 0.5:
+                d = dist.sample(rng)
+                if d <= m:
+                    pending.setdefault(t + d, []).append((t, u, v))
+            est.record_play(u, v, t)
+
+    def test_matrices_returns_a_copy_of_n(self):
+        est, _ = make_est(k=2, m=5)
+        est.record_play(0, 1, 1)
+        n, _, _ = est.matrices(2)
+        n[0, 1] = 99
+        assert est.n[0, 1] == 1
+
+
 class TestStorageAndDump:
     def test_storage_stays_bounded(self):
         est, _ = make_est(k=3, m=40)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelsim import (
     DuelingEnvironment,
+    ExperimentConfig,
     MrrDbDelay,
     RrDbDelay,
     RucbBaseline,
@@ -13,10 +16,12 @@ from duelsim import (
     deterministic,
     geometric,
     make_policy,
+    run_many,
     validate_matrix,
 )
 from duelsim.errors import EmptyActiveSet, RoundComplete
-from reference_rucb import classical_rucb_actions
+from duelsim.policies import _champion_pair
+from reference_rucb import classical_rucb_actions, reference_champion_pair
 
 
 def run_actions(matrix, delay, policy, horizon):
@@ -41,6 +46,28 @@ def fresh_policy(name, k=5, horizon=2000, delay=None, seed=0, **kw):
         rng=np.random.default_rng(seed),
         **kw,
     )
+
+
+@st.composite
+def bound_matrices(draw):
+    """(ucb, best, seed): few distinct entries, so champions and maximizers tie."""
+    k = draw(st.integers(1, 6))
+    values = st.sampled_from([0.5, 1.0, 0.25, 0.75, 0.75, 1.5])
+    ucb = np.array(draw(st.lists(values, min_size=k * k, max_size=k * k))).reshape(k, k)
+    best = draw(st.none() | st.integers(0, k - 1))
+    return ucb, best, draw(st.integers(0, 2**32 - 1))
+
+
+class TestChampionPair:
+    @settings(max_examples=300, deadline=None)
+    @given(bound_matrices())
+    def test_matches_numpy_reference(self, case):
+        ucb, best, seed = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _champion_pair(ucb, best, rng)
+        assert got == reference_champion_pair(ucb, best, ref_rng)
+        assert all(type(x) is int for x in got if x is not None)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestRucbDelaySelection:
@@ -170,6 +197,34 @@ class TestRucbBaseline:
             mine.append((a.u, a.v))
             env.step(a.u, a.v)
         assert mine == classical_rucb_actions(matrix, 400, seed)
+
+    def test_declared_winner_never_none_under_delay(self):
+        # three runs under long delays end without a single champion at least once
+        policies = []
+
+        def factory(matrix, rng):
+            policies.append(RucbBaseline(matrix.k, alpha=1.0, rng=rng))
+            return policies[-1]
+
+        config = ExperimentConfig(
+            dataset="arithmetic",
+            policy="rucb-baseline",
+            delay="geometric:0.01",
+            horizon=5000,
+            runs=3,
+            base_seed=0,
+        )
+        winners = [tr.winner for tr in run_many(config, policy_factory=factory).runs]
+        assert None not in winners
+        assert any(pol.best is None for pol in policies)
+        for pol, winner in zip(policies, winners):
+            if pol.best is None:
+                ucb = pol._ucb_matrix(pol.last_t + 1)
+                k = pol.k
+                worst_lcb = [min(1.0 - ucb[j, i] for j in range(k) if j != i) for i in range(k)]
+                assert winner == worst_lcb.index(max(worst_lcb))
+            else:
+                assert winner == pol.best
 
 
 class TestRrDbDelay:
