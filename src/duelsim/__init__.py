@@ -48,7 +48,6 @@ from .policies import (
     RucbBaseline,
     RucbDelay,
     make_policy,
-    register_policy,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +83,6 @@ __all__ = [
     "n_schedule",
     "n_schedule_aggregated",
     "parse_delay_spec",
-    "register_policy",
     "rucb_delay_expected_bound",
     "run_many",
     "run_one",

@@ -39,7 +39,3 @@ class NoData(DuelSimError):
 
 class RoundComplete(DuelSimError):
     """All active pairs have reached the round's play target."""
-
-
-class EmptyActiveSet(DuelSimError):
-    """An elimination step would remove every active arm."""

@@ -17,16 +17,16 @@ dropped from the window.  Storage is O(K^2 + M) regardless of t.
 The window is one ring buffer of M slots: the play at step s lives in
 slot s mod M, which is collision-free because play times strictly
 increase and the window only holds plays with s > t - M.  Each slot has
-a pair key u * K + v, a play time and a converted flag.  The keys are
-written twice, at i and i + M of a 2M array, so the window in
-chronological order is always the contiguous view keys[h : h + M] with
-h = (last_t + 1) mod M.  Empty and folded slots hold the sentinel key
-K * K, whose bincount bin is dropped.  At the query time the hot loop
-uses, t = last_t + 1, the slot at position p of that view has age M - p,
-so its weights are the constant view tau[M:0:-1] and a whole-matrix
-query is one bincount.  Other query times gather tau(clip(t - s, 0, M))
-in the same chronological order, so both paths add each pair's weights
-oldest first and agree bit for bit.
+a pair key u * K + v and a converted flag.  The keys are written twice,
+at i and i + M of a 2M array, so the window in chronological order is
+always the contiguous view keys[h : h + M] with h = (last_t + 1) mod M.
+Empty and folded slots hold the sentinel key K * K, whose bincount bin
+is dropped.  Position p of that view holds the play at
+s = last_t + 1 - M + p, so play times need no storage: the weights
+tau(clip(t - s, 0, M)) of a query at t are the view ext[M - d : 2M - d]
+of one table ext[i] = tau(clip(2M - i, 0, M)), with d = t - last_t - 1
+clamped to [-M, M], and a whole-matrix query is one bincount that adds
+each pair's weights oldest first.
 
 Call discipline per step t: ingest the conversions that land at t, then
 query (statistics describe plays up to t-1), then record the play at t.
@@ -73,10 +73,10 @@ class DelayCorrectedEstimator:
         # ring buffer: slot s mod M holds the play at step s
         self._empty = k * k
         self._keys = np.full(2 * m_window, self._empty, dtype=np.int64)
-        self._times = np.zeros(m_window, dtype=np.int64)
         self._converted = np.zeros(m_window, dtype=bool)
-        # weights of the chronological window at t = last_t + 1
-        self._next_weights = tau_table[m_window:0:-1]
+        # ext[i] = tau(clip(2M - i, 0, M)): every query's weights are a view of it
+        lag = np.clip(2 * m_window - np.arange(3 * m_window), 0, m_window)
+        self._ext = tau_table[lag]
         self.last_t = 0
 
     # -- bookkeeping ------------------------------------------------------
@@ -107,7 +107,6 @@ class DelayCorrectedEstimator:
                 keys[i] = keys[i + m] = self._empty
         i = t % m
         keys[i] = keys[i + m] = u * k + v
-        self._times[i] = t
         self.n[u, v] += 1
         self.n[v, u] += 1
         self.last_t = t
@@ -171,11 +170,8 @@ class DelayCorrectedEstimator:
         k = self.k
         m = self.m_window
         h = (self.last_t + 1) % m
-        if t == self.last_t + 1:
-            w = self._next_weights
-        else:
-            times = np.concatenate((self._times[h:], self._times[:h]))
-            w = self.tau[np.clip(t - times, 0, m)]
+        d = min(max(t - self.last_t - 1, -m), m)
+        w = self._ext[m - d : 2 * m - d]
         window = np.bincount(self._keys[h : h + m], weights=w, minlength=k * k + 1)
         a = self.tau_m * self._folded_plays + window[: k * k].reshape(k, k)
         y = self._wins

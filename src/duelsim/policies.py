@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import n_schedule, n_schedule_aggregated
-from .errors import EmptyActiveSet, RoundComplete
+from .errors import RoundComplete
 from .estimator import DelayCorrectedEstimator
 
 
@@ -75,11 +75,18 @@ def _champion_pair(
     return u, v, best
 
 
-def _best_worst_case(ucb: np.ndarray) -> int:
-    """argmax_i min_{j != i} (1 - U_ji), lowest index on ties."""
-    lcb = 1.0 - ucb.T
-    np.fill_diagonal(lcb, np.inf)
-    return int(np.argmax(lcb.min(axis=1)))
+def _best_worst_case(score: list[list[float]], arms) -> int:
+    """The arm i maximizing min_{j != i} score[i][j] over arms, first on ties."""
+    return max(
+        arms, key=lambda i: min((score[i][j] for j in arms if j != i), default=math.inf)
+    )
+
+
+def _unbeaten(score: list[list[float]], arms, margin: float) -> list[int]:
+    """Arms i with no opponent j where score[i][j] + margin < 1/2; NaN never beats."""
+    return [
+        i for i in arms if not any(score[i][j] + margin < 0.5 for j in arms if j != i)
+    ]
 
 
 class RucbDelay:
@@ -123,7 +130,8 @@ class RucbDelay:
         lower bound max_i min_{j != i} (1 - U_ji), lowest index on ties."""
         if self.best is not None:
             return self.best
-        return _best_worst_case(self.est.ucb_matrix(self.est.last_t + 1, self.alpha))
+        ucb = self.est.ucb_matrix(self.est.last_t + 1, self.alpha)
+        return _best_worst_case((1.0 - ucb.T).tolist(), range(self.k))
 
 
 class RucbBaseline:
@@ -152,10 +160,12 @@ class RucbBaseline:
 
     def _ucb_matrix(self, t: int) -> np.ndarray:
         n = self.wins + self.wins.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = self.wins / n + np.sqrt(self.alpha * math.log(t) / n)
-        u[n == 0.0] = 1.0
-        np.fill_diagonal(u, 0.5)
+        # no-data pairs divide by 1 instead of 0 and are overwritten below
+        empty = n == 0.0
+        n = n + empty
+        u = self.wins / n + np.sqrt(self.alpha * math.log(t) / n)
+        u[empty] = 1.0
+        u.ravel()[:: self.k + 1] = 0.5
         return u
 
     def select(self, t: int) -> PolicyAction:
@@ -184,7 +194,8 @@ class RucbBaseline:
         the step after the last select: max_i min_{j != i} (1 - U_ji)."""
         if self.best is not None:
             return self.best
-        return _best_worst_case(self._ucb_matrix(self.last_t + 1))
+        ucb = self._ucb_matrix(self.last_t + 1)
+        return _best_worst_case((1.0 - ucb.T).tolist(), range(self.k))
 
 
 class RrDbDelay:
@@ -234,24 +245,13 @@ class RrDbDelay:
 
     def _eliminate(self, t: int) -> None:
         n, n_tilde, s = (x.tolist() for x in self.est.matrices(t))
-        bounds = {
-            (i, j): self._bound(n[i][j], n_tilde[i][j], s[i][j], t)
-            for i in self.active
-            for j in self.active
-            if i != j
-        }
-        survivors = [
-            i
-            for i in self.active
-            if not any(bounds[(i, j)] < 0.5 for j in self.active if j != i)
+        bounds = [
+            [self._bound(n[i][j], n_tilde[i][j], s[i][j], t) for j in range(self.k)]
+            for i in range(self.k)
         ]
-        if not survivors:
-            keep = max(
-                self.active,
-                key=lambda i: min(bounds[(i, j)] for j in self.active if j != i),
-            )
-            survivors = [keep]
-        self.active = survivors
+        self.active = _unbeaten(bounds, self.active, 0.0) or [
+            _best_worst_case(bounds, self.active)
+        ]
 
     def select(self, t: int) -> PolicyAction:
         if len(self.active) > 1 and self._pos == len(self._sweep):
@@ -343,29 +343,21 @@ class MrrDbDelay:
             self._pos += 1
         raise RoundComplete(f"round {self.m}: every active pair has {self.n_target} plays")
 
-    def end_round(self, rescue: bool = True) -> set[int]:
-        """Eliminate beaten arms, halve the tolerance and open the next round."""
-        means = {
-            (i, j): self.mean_estimate(i, j)
-            for i in self.active
-            for j in self.active
-            if i != j
-        }
-        eliminated = {
-            i
-            for i in self.active
-            if any(means[(i, j)] + self.gamma < 0.5 for j in self.active if j != i)
-        }
-        if eliminated == set(self.active):
-            if not rescue:
-                raise EmptyActiveSet(f"round {self.m} would eliminate every arm")
-            keep = max(
-                self.active,
-                key=lambda i: min(means[(i, j)] for j in self.active if j != i),
-            )
-            eliminated.discard(keep)
+    def end_round(self) -> set[int]:
+        """Eliminate beaten arms, halve the tolerance and open the next round.
+
+        If every arm is beaten, the best worst-case estimate survives and the
+        round is recorded in rescued_rounds.  Returns the eliminated arms.
+        """
+        means = [
+            [self.mean_estimate(i, j) for j in range(self.k)] for i in range(self.k)
+        ]
+        survivors = _unbeaten(means, self.active, self.gamma)
+        if not survivors:
+            survivors = [_best_worst_case(means, self.active)]
             self.rescued_rounds.append(self.m)
-        self.active = [i for i in self.active if i not in eliminated]
+        eliminated = set(self.active) - set(survivors)
+        self.active = survivors
         self.gamma /= 2.0
         self.m += 1
         self.n_target = max(self._schedule(self.m), self.n_target + 1)
@@ -411,17 +403,12 @@ class MrrDbDelay:
         return best if best is not None else self.active[0]
 
 
-_FACTORIES: dict[str, Callable] = {}
-
-
-def register_policy(name: str, factory: Callable) -> None:
-    """Register a policy factory; used for the built-ins and test doubles."""
-    _FACTORIES[name] = factory
+_BUILTINS = (RucbDelay, RucbBaseline, RrDbDelay, MrrDbDelay)
 
 
 def policy_names() -> list[str]:
     """Names make_policy accepts, sorted."""
-    return sorted(_FACTORIES)
+    return sorted(cls.name for cls in _BUILTINS)
 
 
 def make_policy(
@@ -436,48 +423,23 @@ def make_policy(
     aggregated: bool = False,
     rng: np.random.Generator | None = None,
 ):
-    """Instantiate a policy by its registry name."""
-    if name not in _FACTORIES:
+    """Instantiate a built-in policy by name."""
+    if name not in policy_names():
         known = ", ".join(policy_names())
         raise ValueError(f"unknown policy {name!r}; known: {known}")
-    if aggregated and name != "mrr-delay":
+    if aggregated and name != MrrDbDelay.name:
         raise ValueError(f"policy {name!r} cannot consume aggregated anonymous feedback")
-    return _FACTORIES[name](
-        k=k,
-        horizon=horizon,
-        delay=delay,
-        alpha=alpha,
-        window=window,
-        delta=delta,
-        aggregated=aggregated,
-        rng=rng,
-    )
-
-
-register_policy(
-    "rucb-delay",
-    lambda *, k, horizon, delay, alpha, window, delta, aggregated, rng: RucbDelay(
-        k, alpha=alpha, window=window, tau_table=delay.tau_table(window), rng=rng
-    ),
-)
-register_policy(
-    "rucb-baseline",
-    lambda *, k, horizon, delay, alpha, window, delta, aggregated, rng: RucbBaseline(
-        k, alpha=alpha, rng=rng
-    ),
-)
-register_policy(
-    "rrdb-delay",
-    lambda *, k, horizon, delay, alpha, window, delta, aggregated, rng: RrDbDelay(
-        k,
-        window=window,
-        tau_table=delay.tau_table(window),
-        delta=delta if delta is not None else 1.0 / horizon,
-    ),
-)
-register_policy(
-    "mrr-delay",
-    lambda *, k, horizon, delay, alpha, window, delta, aggregated, rng: MrrDbDelay(
-        k, horizon=horizon, mean_delay=delay.mean, aggregated=aggregated
-    ),
-)
+    if name == RucbDelay.name:
+        return RucbDelay(
+            k, alpha=alpha, window=window, tau_table=delay.tau_table(window), rng=rng
+        )
+    if name == RucbBaseline.name:
+        return RucbBaseline(k, alpha=alpha, rng=rng)
+    if name == RrDbDelay.name:
+        return RrDbDelay(
+            k,
+            window=window,
+            tau_table=delay.tau_table(window),
+            delta=delta if delta is not None else 1.0 / horizon,
+        )
+    return MrrDbDelay(k, horizon=horizon, mean_delay=delay.mean, aggregated=aggregated)

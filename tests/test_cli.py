@@ -22,12 +22,14 @@ class TestDatasetsCommand:
 
 
 class TestRunParser:
-    def test_policy_choices_follow_registry(self, monkeypatch):
-        monkeypatch.setitem(policies._FACTORIES, "scripted", lambda **kw: None)
-        args = build_parser().parse_args(
-            ["run", "--dataset", "arithmetic", "--policy", "scripted"]
-        )
-        assert args.policy == "scripted"
+    def test_policy_choices_are_policy_names(self):
+        parser = build_parser()
+        (run,) = (a for a in parser._actions if a.dest == "command")
+        (policy,) = (a for a in run.choices["run"]._actions if a.dest == "policy")
+        assert list(policy.choices) == policies.policy_names()
+        for name in policies.policy_names():
+            args = parser.parse_args(["run", "--dataset", "arithmetic", "--policy", name])
+            assert args.policy == name
 
 
 class TestBoundsCommand:

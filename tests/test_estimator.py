@@ -469,9 +469,9 @@ class TestConfidenceBounds:
                         assert umat[i, j] == pytest.approx(est.ucb(i, j, t, 1.0), abs=1e-12)
 
 
-def errstate_ucb_matrix(est, t, alpha):
+def errstate_ucb_matrix(est, t, alpha, matrices=None):
     """The whole-matrix bound as first written, under np.errstate."""
-    n, n_tilde, s = est.matrices(t)
+    n, n_tilde, s = est.matrices(t) if matrices is None else matrices
     with np.errstate(divide="ignore", invalid="ignore"):
         u = s / n_tilde + np.sqrt(alpha * n * math.log(t) / (n_tilde * n_tilde))
     u[n_tilde == 0.0] = 1.0
@@ -524,6 +524,60 @@ class TestUcbMatrix:
         assert est.n[0, 1] == 1
 
 
+def gathered_matrices(est, times, t):
+    """matrices(t) with weights gathered from stored play times, as first written.
+
+    times[s % M] = s for every recorded play s.  The weights are
+    tau(clip(t - s, 0, M)) in the chronological order of the window.
+    """
+    k, m = est.k, est.m_window
+    h = (est.last_t + 1) % m
+    chronological = np.concatenate((times[h:], times[:h]))
+    w = est.tau[np.clip(t - chronological, 0, m)]
+    window = np.bincount(est._keys[h : h + m], weights=w, minlength=k * k + 1)
+    a = est.tau_m * est._folded_plays + window[: k * k].reshape(k, k)
+    y = est._wins
+    return est.n.copy(), a + a.T, y + (a.T - y.T)
+
+
+class TestWeightView:
+    """The ext-table view reproduces the stored-time gather at every query time."""
+
+    LAWS = [geometric(0.2), deterministic(5), uniform_delay(2, 9), deterministic(1)]
+
+    @pytest.mark.parametrize("dist", LAWS)
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_stored_time_gather(self, dist, m, seed):
+        k = 3
+        est = DelayCorrectedEstimator(k, m, dist.tau_table(m))
+        times = np.zeros(m, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        pending: dict[int, list] = {}
+        t = 0
+        for _ in range(60):
+            # mostly consecutive steps, sometimes gaps past M and 2M
+            t += int(rng.choice([1, 1, 1, 2, m + 1, 2 * m + 3]))
+            for s in range(est.last_t + 1, t + 1):
+                for (sp, u, v) in pending.pop(s, []):
+                    est.ingest_conversion(sp, u, v)
+            for tq in range(est.last_t - m - 2, est.last_t + m + 3):
+                want = gathered_matrices(est, times, tq)
+                for got, ref in zip(est.matrices(tq), want):
+                    assert np.array_equal(got, ref)
+                if tq >= 1:
+                    with np.errstate(all="raise"):
+                        got = est.ucb_matrix(tq, 1.5)
+                    assert np.array_equal(got, errstate_ucb_matrix(est, tq, 1.5, want))
+            u, v = int(rng.integers(k)), int(rng.integers(k))
+            if rng.random() < 0.6:
+                d = dist.sample(rng)
+                if d <= m:
+                    pending.setdefault(t + d, []).append((t, u, v))
+            est.record_play(u, v, t)
+            times[t % m] = t
+
+
 class TestStorageAndDump:
     def test_storage_stays_bounded(self):
         est, _ = make_est(k=3, m=40)
@@ -540,7 +594,6 @@ class TestStorageAndDump:
                     pending.setdefault(t + d, []).append((t, u, v))
         assert est.window_size <= 40
         assert est._keys.shape == (2 * 40,)
-        assert est._times.shape == (40,)
         assert est._converted.shape == (40,)
         assert np.count_nonzero(est._converted) <= est.window_size
 

@@ -19,8 +19,9 @@ from duelsim import (
     run_many,
     validate_matrix,
 )
-from duelsim.errors import EmptyActiveSet, RoundComplete
-from duelsim.policies import _champion_pair
+from duelsim.errors import RoundComplete
+from duelsim.policies import _best_worst_case, _champion_pair, _unbeaten
+import reference_rules
 from reference_rucb import classical_rucb_actions, reference_champion_pair
 
 
@@ -353,14 +354,6 @@ class TestMrrDbDelay:
         assert eliminated == {0, 2}
         assert pol.rescued_rounds == [1]
 
-    def test_all_eliminated_raises_without_rescue(self):
-        pol = self.make(k=2, schedule=lambda m: 10)
-        pol.gamma = 0.25
-        pol.plays = {(0, 1): 10, (1, 0): 10}
-        pol.convs = {(0, 1): 0.0, (1, 0): 0.0}
-        with pytest.raises(EmptyActiveSet):
-            pol.end_round(rescue=False)
-
     def test_gamma_halves_and_target_strictly_increases(self):
         pol = self.make(k=2, schedule=lambda m: 10 if m == 1 else 3)
         pol.plays = {(0, 1): 10, (1, 0): 10}
@@ -447,6 +440,114 @@ class TestMrrDbDelay:
         assert pol.n_target == n_schedule(1, 200000, 100.0)
         agg = MrrDbDelay(2, horizon=200000, mean_delay=100.0, aggregated=True)
         assert agg.n_target == n_schedule_aggregated(1, 200000, 100.0)
+
+
+# ties, NaN (an unplayed MRR pair) and dyadic values at 1/2 - 2^-m, so that
+# adding a margin of 2^-m lands exactly on the elimination threshold
+RULE_SCORES = [math.nan, 0.0, 0.25, 0.375, 0.4375, 0.46875, 0.5, 0.5, 0.625, 1.0, 1.5]
+MARGINS = [0.0] + [2.0**-m for m in range(1, 6)]
+
+
+@st.composite
+def rule_cases(draw):
+    k = draw(st.integers(1, 6))
+    score = [[draw(st.sampled_from(RULE_SCORES)) for _ in range(k)] for _ in range(k)]
+    active = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1)))
+    return score, active, draw(st.sampled_from(MARGINS))
+
+
+@st.composite
+def win_matrices(draw):
+    k = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), min_size=k * k, max_size=k * k))
+    return np.array(counts, dtype=np.float64).reshape(k, k), draw(st.integers(1, 10**6))
+
+
+class TestSharedRules:
+    """The list-based helpers against the rules they replaced (tests/reference_rules.py)."""
+
+    @staticmethod
+    def keyed(score, active):
+        return {(i, j): score[i][j] for i in active for j in active if i != j}
+
+    @settings(max_examples=400, deadline=None)
+    @given(rule_cases())
+    def test_elimination_matches_old_rules(self, case):
+        score, active, margin = case
+        keyed = self.keyed(score, active)
+        _, survivors, rescued = reference_rules.mrr_end_round(keyed, active, margin)
+        unbeaten = _unbeaten(score, active, margin)
+        assert unbeaten == ([] if rescued else survivors)
+        if rescued:
+            assert [_best_worst_case(score, active)] == survivors
+        rrdb = _unbeaten(score, active, 0.0) or [_best_worst_case(score, active)]
+        assert rrdb == reference_rules.rrdb_survivors(keyed, active)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule_cases())
+    def test_mrr_end_round_matches_old_rule(self, case):
+        score, active, margin = case
+        k = len(score)
+        pol = MrrDbDelay(k, horizon=10**6, mean_delay=2.0, schedule=lambda m: 64)
+        pol.active, pol.gamma = list(active), margin
+        # 64 plays reproduce every dyadic score exactly; no plays read as NaN
+        cells = [(i, j, x) for i, row in enumerate(score) for j, x in enumerate(row)]
+        pol.plays = {(i, j): 0 if math.isnan(x) else 64 for i, j, x in cells}
+        pol.convs = {(i, j): 0.0 if math.isnan(x) else 64 * x for i, j, x in cells}
+        eliminated, survivors, rescued = reference_rules.mrr_end_round(
+            self.keyed(score, active), active, margin
+        )
+        assert pol.end_round() == eliminated
+        assert pol.active == survivors
+        assert pol.rescued_rounds == ([1] if rescued else [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(win_matrices())
+    def test_baseline_declared_winner_matches_argmax_rule(self, case):
+        wins, t = case
+        k = wins.shape[0]
+        pol = RucbBaseline(k, alpha=1.0, rng=np.random.default_rng(0))
+        pol.wins, pol.last_t = wins.copy(), t - 1
+        ucb = reference_rules.baseline_ucb_matrix(wins, 1.0, t)
+        assert pol.declared_winner() == reference_rules.best_worst_case_lcb(ucb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.booleans()), max_size=40),
+    )
+    def test_rucb_declared_winner_matches_argmax_rule(self, k, plays):
+        tau = geometric(0.3).tau_table(8)
+        pol = RucbDelay(k, alpha=1.0, window=8, tau_table=tau, rng=np.random.default_rng(0))
+        for t, (u, v, converted) in enumerate(plays, start=1):
+            pol.est.record_play(u % k, v % k, t)
+            if converted:
+                pol.est.ingest_conversion(t, u % k, v % k)
+        ucb = pol.est.ucb_matrix(pol.est.last_t + 1, pol.alpha)
+        assert pol.best is None
+        assert pol.declared_winner() == reference_rules.best_worst_case_lcb(ucb)
+
+
+class TestRucbBaselineBounds:
+    """The masked bound equals the np.errstate formula it replaced."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_fresh_state(self, k):
+        pol = RucbBaseline(k, alpha=1.0, rng=np.random.default_rng(0))
+        for t in (1, 2, 50):
+            with np.errstate(all="raise"):
+                got = pol._ucb_matrix(t)
+            assert np.array_equal(got, reference_rules.baseline_ucb_matrix(pol.wins, 1.0, t))
+
+    @settings(max_examples=200, deadline=None)
+    @given(win_matrices(), st.sampled_from([1.0, 1.5, 3.0]))
+    def test_random_win_matrices(self, case, alpha):
+        wins, t = case
+        pol = RucbBaseline(wins.shape[0], alpha=alpha, rng=np.random.default_rng(0))
+        pol.wins = wins
+        with np.errstate(all="raise"):
+            got = pol._ucb_matrix(t)
+        assert np.array_equal(got, reference_rules.baseline_ucb_matrix(wins, alpha, t))
 
 
 class TestRegistry:
