@@ -69,8 +69,9 @@ def validate_matrix(raw) -> PreferenceMatrix:
     k = mu.shape[0]
     if k < 2:
         raise ValueError("preference matrix needs at least 2 arms")
-    if np.any(mu < 0.0) or np.any(mu > 1.0):
-        i, j = np.argwhere((mu < 0.0) | (mu > 1.0))[0]
+    outside = ~((mu >= 0.0) & (mu <= 1.0))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
         raise ValueError(f"entry ({i}, {j}) = {mu[i, j]} outside [0, 1]")
 
     for i in range(k):
@@ -123,10 +124,6 @@ class PendingOutcome(NamedTuple):
     x: int
     d: int
 
-    @property
-    def lands_at(self) -> int:
-        return self.s + self.d
-
 
 class DuelingEnvironment:
     """Single-run environment: outcome sampling, delays, conversion delivery.
@@ -178,7 +175,8 @@ class DuelingEnvironment:
         Y_{s,t} = 1 iff some observe_new(t') with t' <= t contained play s.
         A second call for the same t returns [].
         """
-        self._require_standard()
+        if self.aggregated:
+            raise ModeMismatch("aggregated mode exposes only anonymous counts")
         self._check_time(t)
         return self._landings.pop(t, [])
 
@@ -188,10 +186,6 @@ class DuelingEnvironment:
             raise ModeMismatch("environment is not in aggregated mode")
         self._check_time(t)
         return len(self._landings.pop(t, ()))
-
-    def _require_standard(self) -> None:
-        if self.aggregated:
-            raise ModeMismatch("aggregated mode exposes only anonymous counts")
 
     def _check_time(self, t: int) -> None:
         if t > self.t:

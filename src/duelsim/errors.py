@@ -35,7 +35,3 @@ class UnknownPlay(DuelSimError):
 
 class NoData(DuelSimError):
     """A preference estimate was requested for a pair with no usable plays."""
-
-
-class RoundComplete(DuelSimError):
-    """All active pairs have reached the round's play target."""

@@ -81,10 +81,6 @@ class DelayCorrectedEstimator:
 
     # -- bookkeeping ------------------------------------------------------
 
-    @property
-    def window_size(self) -> int:
-        return int(np.count_nonzero(self._keys[: self.m_window] != self._empty))
-
     def record_play(self, u: int, v: int, t: int) -> None:
         """Register the play at step t.  Times must strictly increase."""
         if t <= self.last_t:
@@ -146,18 +142,6 @@ class DelayCorrectedEstimator:
             raise NoData(f"no discounted plays of pair ({i}, {j}) by t={t}")
         return s_ij / n_tilde
 
-    def ucb(self, i: int, j: int, t: int, alpha: float) -> float:
-        """Optimistic bound mu_hat + sqrt(alpha * N * log t / Ntilde^2).
-
-        1/2 on the diagonal; 1 when the pair has no discounted plays yet.
-        """
-        if i == j:
-            return 0.5
-        n, n_tilde, s_ij, _ = self.pair_stats(i, j, t)
-        if n_tilde == 0.0:
-            return 1.0
-        return s_ij / n_tilde + math.sqrt(alpha * n * math.log(t) / (n_tilde * n_tilde))
-
     # -- whole-matrix queries -----------------------------------------------
 
     def matrices(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,7 +164,10 @@ class DelayCorrectedEstimator:
         return self.n, n_tilde, s
 
     def ucb_matrix(self, t: int, alpha: float) -> np.ndarray:
-        """All bounds at once: diagonal 1/2, no-data pairs 1."""
+        """Optimistic bounds mu_hat + sqrt(alpha * N * log t / Ntilde^2) at step t.
+
+        1/2 on the diagonal; 1 where the pair has no discounted plays yet.
+        """
         n, n_tilde, s = self._stats(t)
         # no-data pairs divide by 1 instead of 0 and are overwritten below
         empty = n_tilde == 0.0
@@ -189,20 +176,3 @@ class DelayCorrectedEstimator:
         u[empty] = 1.0
         u.ravel()[:: self.k + 1] = 0.5
         return u
-
-    def debug_rows(self, t: int, alpha: float):
-        """Rows (t, i, j, N, N_tilde, S, mu_hat, U) for every ordered pair."""
-        n, n_tilde, s = self.matrices(t)
-        u = self.ucb_matrix(t, alpha)
-        for i in range(self.k):
-            for j in range(self.k):
-                if i == j:
-                    continue
-                mh = s[i, j] / n_tilde[i, j] if n_tilde[i, j] > 0 else float("nan")
-                yield (t, i, j, int(n[i, j]), n_tilde[i, j], s[i, j], mh, u[i, j])
-
-    def dump_debug_csv(self, path, t: int, alpha: float) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,i,j,N,N_tilde,S,mu_hat,U\n")
-            for row in self.debug_rows(t, alpha):
-                fh.write(",".join(str(x) for x in row) + "\n")

@@ -28,7 +28,7 @@ class ExperimentConfig:
 
     dataset: str
     policy: str
-    delay: str | DelayDistribution = "geometric:0.01"
+    delay: str = "geometric:0.01"
     horizon: int = 50_000
     runs: int = 20
     base_seed: int = 0
@@ -40,14 +40,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.horizon < 1 or self.runs < 1:
-            raise ValueError("horizon and runs must be >= 1")
+        if self.horizon < 1 or self.runs < 1 or self.workers < 1:
+            raise ValueError("horizon, runs and workers must be >= 1")
         if self.window < 1 or self.trace_stride < 1:
             raise ValueError("window and trace_stride must be >= 1")
 
     def delay_distribution(self) -> DelayDistribution:
-        if isinstance(self.delay, DelayDistribution):
-            return self.delay
         return parse_delay_spec(self.delay)
 
     def at_paper_scale(self) -> "ExperimentConfig":
@@ -142,10 +140,6 @@ def run_one(
     )
 
 
-def _run_for_seed(config: ExperimentConfig, seed: int) -> RunTrace:
-    return run_one(config, seed)
-
-
 def run_many(config: ExperimentConfig, *, policy_factory=None) -> AggregateResult:
     """All replications with pointwise mean and sample standard deviation."""
     if config.workers > 1 and policy_factory is not None:
@@ -153,7 +147,7 @@ def run_many(config: ExperimentConfig, *, policy_factory=None) -> AggregateResul
     seeds = [config.base_seed + r for r in range(config.runs)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            traces = list(pool.map(_run_for_seed, [config] * len(seeds), seeds))
+            traces = list(pool.map(run_one, [config] * len(seeds), seeds))
     else:
         matrix = datasets.resolve(config.dataset)
         traces = [

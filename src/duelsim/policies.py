@@ -5,7 +5,8 @@ Every policy exposes:
   observe(t, conversions)       deliver conversion events landing at t
   observe_count(t, count)       anonymous-count variant (multi-round only)
 
-and read-only inspection (active_arms, declared_winner) for the harness.
+and read-only inspection for the harness: declared_winner() on all four,
+active_arms on the elimination policies only.
 One instance drives one run; none of them share state.
 
 Random-draw order inside champion-style selection (kept fixed so seeded
@@ -24,12 +25,11 @@ runs are reproducible and external references can align draw-for-draw):
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import n_schedule, n_schedule_aggregated
-from .errors import RoundComplete
 from .estimator import DelayCorrectedEstimator
 
 
@@ -121,10 +121,6 @@ class RucbDelay:
         for o in conversions:
             self.est.ingest_conversion(o.s, o.u, o.v)
 
-    @property
-    def active_arms(self):
-        return None
-
     def declared_winner(self) -> int:
         """The remembered champion, else the arm with the best worst-case
         lower bound max_i min_{j != i} (1 - U_ji), lowest index on ties."""
@@ -185,10 +181,6 @@ class RucbBaseline:
                 self.wins[v, u] += 1.0  # the zero reads as a second-arm win
             self._unobserved = None
 
-    @property
-    def active_arms(self):
-        return None
-
     def declared_winner(self) -> int:
         """The remembered champion, else RucbDelay's rule on these bounds at
         the step after the last select: max_i min_{j != i} (1 - U_ji)."""
@@ -230,12 +222,8 @@ class RrDbDelay:
                 pairs.append(PolicyAction(j, i))
         return pairs
 
-    def bound(self, i: int, j: int, t: int) -> float:
-        """Corrected round-robin bound; optimistic 1 when the pair has no data."""
-        n, n_tilde, s_ij, _ = self.est.pair_stats(i, j, t)
-        return self._bound(n, n_tilde, s_ij, t)
-
     def _bound(self, n: int, n_tilde: float, s_ij: float, t: int) -> float:
+        """Corrected round-robin bound; optimistic 1 when the pair has no data."""
         if n_tilde == 0.0:
             return 1.0
         radius = math.sqrt(
@@ -287,29 +275,26 @@ class MrrDbDelay:
     raw conversion frequencies against 1/2 - gamma_m, and halves gamma.
     In aggregated mode anonymous per-step counts are credited to the pair
     played on the previous step.
+
+    select plays the round's first ordered pair, in index order, that is
+    still below n_m.  When every pair has met n_m it ends the round in
+    place and carries on in the next; n_m strictly increases, so that
+    happens at most once per call.  A sole survivor plays itself.
     """
 
     name = "mrr-delay"
 
     def __init__(
-        self,
-        k: int,
-        *,
-        horizon: int,
-        mean_delay: float,
-        aggregated: bool = False,
-        schedule: Callable[[int], int] | None = None,
+        self, k: int, *, horizon: int, mean_delay: float, aggregated: bool = False
     ):
         self.k = k
         self.horizon = horizon
+        self.mean_delay = mean_delay
         self.aggregated = aggregated
-        if schedule is None:
-            base = n_schedule_aggregated if aggregated else n_schedule
-            schedule = lambda m: base(m, horizon, mean_delay)  # noqa: E731
-        self._schedule = schedule
+        self._schedule = n_schedule_aggregated if aggregated else n_schedule
         self.m = 1
         self.gamma = 0.5
-        self.n_target = schedule(1)
+        self.n_target = self._schedule(1, horizon, mean_delay)
         self.active: list[int] = list(range(k))
         self.plays: dict[tuple[int, int], int] = {}
         self.convs: dict[tuple[int, int], float] = {}
@@ -328,21 +313,6 @@ class MrrDbDelay:
             return math.nan
         return self.convs.get((i, j), 0.0) / plays
 
-    def next_pair(self, t: int) -> PolicyAction:
-        """Next scheduled pair, or RoundComplete when all targets are met."""
-        if len(self.active) == 1:
-            w = self.active[0]
-            self._prev_pair = (w, w)
-            return PolicyAction(w, w)
-        while self._pos < len(self._pairs):
-            pair = self._pairs[self._pos]
-            if self.plays.get(pair, 0) < self.n_target:
-                self.plays[pair] = self.plays.get(pair, 0) + 1
-                self._prev_pair = pair
-                return PolicyAction(*pair)
-            self._pos += 1
-        raise RoundComplete(f"round {self.m}: every active pair has {self.n_target} plays")
-
     def end_round(self) -> set[int]:
         """Eliminate beaten arms, halve the tolerance and open the next round.
 
@@ -360,17 +330,27 @@ class MrrDbDelay:
         self.active = survivors
         self.gamma /= 2.0
         self.m += 1
-        self.n_target = max(self._schedule(self.m), self.n_target + 1)
+        target = self._schedule(self.m, self.horizon, self.mean_delay)
+        self.n_target = max(target, self.n_target + 1)
         self._pairs = self._build_pairs()
         self._pos = 0
         return eliminated
 
     def select(self, t: int) -> PolicyAction:
-        try:
-            return self.next_pair(t)
-        except RoundComplete:
-            self.end_round()
-            return self.next_pair(t)
+        while len(self.active) > 1:
+            if self._pos == len(self._pairs):
+                self.end_round()
+                continue
+            pair = self._pairs[self._pos]
+            plays = self.plays.get(pair, 0)
+            if plays < self.n_target:
+                self.plays[pair] = plays + 1
+                self._prev_pair = pair
+                return PolicyAction(*pair)
+            self._pos += 1
+        w = self.active[0]
+        self._prev_pair = (w, w)
+        return PolicyAction(w, w)
 
     def observe(self, t: int, conversions) -> None:
         for o in conversions:

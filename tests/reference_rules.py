@@ -1,12 +1,15 @@
-"""Best-worst-case and elimination rules as first written, kept as references.
+"""Best-worst-case, elimination and MRR select rules as first written, kept as references.
 
-The policies now share list-based helpers; these are verbatim copies of the
-dict- and numpy-based rules they replaced.
+The policies now share list-based helpers and MrrDbDelay selects in one
+loop; these are verbatim copies of the dict- and numpy-based rules and of
+the next_pair/RoundComplete select they replaced.
 """
 
 import math
 
 import numpy as np
+
+from duelsim import PolicyAction
 
 
 def rrdb_survivors(bounds, active):
@@ -58,3 +61,32 @@ def baseline_ucb_matrix(wins, alpha, t):
     u[n == 0.0] = 1.0
     np.fill_diagonal(u, 0.5)
     return u
+
+
+class RoundComplete(Exception):
+    """All active pairs have reached the round's play target."""
+
+
+def mrr_next_pair(pol):
+    """MrrDbDelay.next_pair: next scheduled pair, or RoundComplete when all targets are met."""
+    if len(pol.active) == 1:
+        w = pol.active[0]
+        pol._prev_pair = (w, w)
+        return PolicyAction(w, w)
+    while pol._pos < len(pol._pairs):
+        pair = pol._pairs[pol._pos]
+        if pol.plays.get(pair, 0) < pol.n_target:
+            pol.plays[pair] = pol.plays.get(pair, 0) + 1
+            pol._prev_pair = pair
+            return PolicyAction(*pair)
+        pol._pos += 1
+    raise RoundComplete(f"round {pol.m}: every active pair has {pol.n_target} plays")
+
+
+def mrr_select(pol):
+    """MrrDbDelay.select over pol's state: next_pair, ending the round once on RoundComplete."""
+    try:
+        return mrr_next_pair(pol)
+    except RoundComplete:
+        pol.end_round()
+        return mrr_next_pair(pol)

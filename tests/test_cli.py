@@ -141,6 +141,24 @@ class TestRunCommand:
         assert err.startswith("duelsim: error:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_nan_matrix_entry_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.5,0.7,0.8\n0.3,0.5,nan\n0.2,nan,0.5\n")
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", str(path), "--policy", "rrdb-delay",
+            "--T", "2000", "--runs", "1", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "nan outside [0, 1]" in err
+
+    def test_zero_workers_rejected(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "arithmetic", "--policy", "rucb-delay",
+            "--T", "100", "--runs", "1", "--workers", "0", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "workers" in err
+
     def test_aggregated_flag_guard(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--dataset", "arithmetic", "--policy", "rucb-delay",

@@ -63,6 +63,11 @@ class TestValidateMatrix:
         with pytest.raises(ValueError):
             validate_matrix([[0.5, 1.2], [-0.2, 0.5]])
 
+    def test_rejects_nan(self):
+        mu = [[0.5, 0.7, 0.8], [0.3, 0.5, float("nan")], [0.2, 0.6, 0.5]]
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) = nan outside \[0, 1\]"):
+            validate_matrix(mu)
+
     def test_complement_exact_after_validation(self):
         rng = np.random.default_rng(0)
         raw = rng.uniform(0.05, 0.95, size=(6, 6))
@@ -265,7 +270,7 @@ class TestAggregatedMode:
         env = self._env(seed=7)
         outs = [env.step(0, 1) for _ in range(300)]
         total = sum(env.observe_aggregated(t) for t in range(1, env.t + 1))
-        resolved_wins = sum(o.x for o in outs if o.lands_at <= env.t)
+        resolved_wins = sum(o.x for o in outs if o.s + o.d <= env.t)
         assert total == resolved_wins
 
 

@@ -115,6 +115,11 @@ class TestRunMany:
         result = run_many(config(runs=3, base_seed=100))
         assert [tr.seed for tr in result.runs] == [100, 101, 102]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            config(workers=workers)
+
     def test_policy_factory_with_workers_rejected(self):
         with pytest.raises(ValueError, match="workers=1"):
             run_many(config(workers=2), policy_factory=lambda m, rng: ConstantPolicy(0, 0))

@@ -9,6 +9,7 @@ from duelsim import (
     DuelingEnvironment,
     ExperimentConfig,
     MrrDbDelay,
+    PendingOutcome,
     RrDbDelay,
     RucbBaseline,
     RucbDelay,
@@ -19,7 +20,6 @@ from duelsim import (
     run_many,
     validate_matrix,
 )
-from duelsim.errors import RoundComplete
 from duelsim.policies import _best_worst_case, _champion_pair, _unbeaten
 import reference_rules
 from reference_rucb import classical_rucb_actions, reference_champion_pair
@@ -113,7 +113,7 @@ class TestRucbDelaySelection:
         ucb = pol.est.ucb_matrix(t, pol.alpha)
         assert np.count_nonzero(np.all(ucb >= 0.5, axis=1)) > 1 and pol.best is None
         worst_lcb = [
-            min(1.0 - pol.est.ucb(j, i, t, pol.alpha) for j in range(4) if j != i)
+            min(1.0 - ucb[j, i] for j in range(4) if j != i)
             for i in range(4)
         ]
         assert pol.declared_winner() == worst_lcb.index(max(worst_lcb))
@@ -229,6 +229,10 @@ class TestRucbBaseline:
 
 
 class TestRrDbDelay:
+    @staticmethod
+    def bound(pol, i, j, t):
+        return pol._bound(*pol.est.pair_stats(i, j, t)[:3], t)
+
     def test_sweep_visits_both_orderings_pairwise(self):
         pol = RrDbDelay(3, window=20, tau_table=geometric(0.5).tau_table(20), delta=0.01)
         actions = [pol.select(t) for t in range(1, 7)]
@@ -241,7 +245,7 @@ class TestRrDbDelay:
         est._folded_plays[0, 1] = 50.0
         est._wins[0, 1] = 30.0
         # Ntilde = 50, mu_hat = 0.6
-        got = pol.bound(0, 1, 1000)
+        got = self.bound(pol, 0, 1, 1000)
         expected = 0.6 + math.sqrt(100 * math.log(10 * 1000 / 0.001) / 2500)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(1.4029, abs=5e-5)
@@ -254,7 +258,7 @@ class TestRrDbDelay:
             est.n[0, 1] = est.n[1, 0] = 20
             est._folded_plays[0, 1] = 20.0
             est._wins[0, 1] = 10.0
-            values.append(pol.bound(0, 1, 500))
+            values.append(self.bound(pol, 0, 1, 500))
         assert values[0] > values[1] > values[2]
 
     def test_unit_delay_reduces_to_plain_rr_bound(self):
@@ -268,11 +272,11 @@ class TestRrDbDelay:
         # tau == 1: mu_hat = wins/N and the radius collapses to sqrt(log(Kt/d)/N)
         mu_hat = (40.0 + (30.0 - 10.0)) / 80.0
         expected = mu_hat + math.sqrt(math.log(4 * 900 / 0.01) / 80)
-        assert pol.bound(0, 1, 900) == pytest.approx(expected, rel=1e-12)
+        assert self.bound(pol, 0, 1, 900) == pytest.approx(expected, rel=1e-12)
 
     def test_no_data_bound_is_one(self):
         pol = RrDbDelay(3, window=5, tau_table=geometric(0.5).tau_table(5), delta=0.1)
-        assert pol.bound(0, 1, 10) == 1.0
+        assert self.bound(pol, 0, 1, 10) == 1.0
 
     def test_elimination_and_exploitation(self):
         # huge gaps, unit delay: the dominated arms fall away quickly
@@ -302,29 +306,31 @@ class TestRrDbDelay:
 
 
 class TestMrrDbDelay:
-    def make(self, k=2, schedule=None, horizon=10**6, aggregated=False):
-        return MrrDbDelay(
-            k,
-            horizon=horizon,
-            mean_delay=2.0,
-            aggregated=aggregated,
-            schedule=schedule,
-        )
+    @staticmethod
+    def make(k=2, n_target=None, aggregated=False):
+        """At horizon 1 without delay both closed forms give 1, so after the
+        pinned round-1 target each round's target is the previous one + 1."""
+        pol = MrrDbDelay(k, horizon=1, mean_delay=0.0, aggregated=aggregated)
+        if n_target is not None:
+            pol.n_target = n_target
+        return pol
 
     def test_round_one_schedule_order(self):
-        pol = self.make(k=2, schedule=lambda m: 5 * m)
-        actions = [tuple(pol.next_pair(t)) for t in range(1, 11)]
+        pol = self.make(k=2, n_target=5)
+        actions = [tuple(pol.select(t)) for t in range(1, 11)]
         assert actions == [(0, 1)] * 5 + [(1, 0)] * 5
-        with pytest.raises(RoundComplete):
-            pol.next_pair(11)
+        assert pol.m == 1
+        assert tuple(pol.select(11)) == (0, 1)  # the next select opens round 2
+        assert (pol.m, pol.n_target) == (2, 6)
 
     def test_lexicographic_pair_order_three_arms(self):
-        pol = self.make(k=3, schedule=lambda m: 1)
-        actions = [tuple(pol.next_pair(t)) for t in range(1, 7)]
+        pol = self.make(k=3)
+        actions = [tuple(pol.select(t)) for t in range(1, 7)]
         assert actions == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+        assert pol.m == 1
 
     def test_elimination_rule_boundary(self):
-        pol = self.make(k=2, schedule=lambda m: 10)
+        pol = self.make(k=2, n_target=10)
         pol.gamma = 0.25
         pol.plays = {(0, 1): 10, (1, 0): 10}
         pol.convs = {(0, 1): 2.0, (1, 0): 6.0}  # means 0.2 and 0.6
@@ -333,7 +339,7 @@ class TestMrrDbDelay:
         assert pol.active == [1]
 
     def test_surviving_boundary_not_eliminated(self):
-        pol = self.make(k=2, schedule=lambda m: 10)
+        pol = self.make(k=2, n_target=10)
         pol.gamma = 0.25
         pol.plays = {(0, 1): 10, (1, 0): 10}
         pol.convs = {(0, 1): 3.0, (1, 0): 6.0}  # 0.3 + 0.25 >= 0.5 survives
@@ -341,7 +347,7 @@ class TestMrrDbDelay:
         assert pol.active == [0, 1]
 
     def test_all_eliminated_rescue_keeps_strongest(self):
-        pol = self.make(k=3, schedule=lambda m: 10)
+        pol = self.make(k=3, n_target=10)
         pol.gamma = 0.125
         pol.plays = {(i, j): 10 for i in range(3) for j in range(3) if i != j}
         pol.convs = {
@@ -355,28 +361,29 @@ class TestMrrDbDelay:
         assert pol.rescued_rounds == [1]
 
     def test_gamma_halves_and_target_strictly_increases(self):
-        pol = self.make(k=2, schedule=lambda m: 10 if m == 1 else 3)
+        pol = self.make(k=2, n_target=10)
         pol.plays = {(0, 1): 10, (1, 0): 10}
         pol.convs = {(0, 1): 6.0, (1, 0): 6.0}
         pol.end_round()
         assert pol.gamma == 0.25
         assert pol.m == 2
-        assert pol.n_target == 11  # monotonicity guard beats the shrinking formula
+        assert pol.n_target == 11  # monotonicity guard beats the formula's 1
 
     def test_carryover_counts_toward_next_round(self):
-        pol = self.make(k=2, schedule=lambda m: 2 * m)
+        pol = self.make(k=2, n_target=2)
         for t in range(1, 5):
-            pol.next_pair(t)
+            pol.select(t)
         pol.convs = {(0, 1): 2.0, (1, 0): 2.0}
         pol.end_round()
-        # target 4: each ordered pair needs just 2 more plays
-        more = [tuple(pol.next_pair(t)) for t in range(5, 9)]
-        assert more == [(0, 1), (0, 1), (1, 0), (1, 0)]
-        with pytest.raises(RoundComplete):
-            pol.next_pair(9)
+        # target 3: each ordered pair needs just 1 more play
+        more = [tuple(pol.select(t)) for t in range(5, 7)]
+        assert more == [(0, 1), (1, 0)]
+        assert pol.m == 2
+        assert tuple(pol.select(7)) == (0, 1)  # the next select opens round 3
+        assert (pol.m, pol.n_target) == (3, 4)
 
     def test_select_wraps_round_transition(self):
-        pol = self.make(k=2, schedule=lambda m: m)
+        pol = self.make(k=2)
         first = tuple(pol.select(1))
         second = tuple(pol.select(2))
         third = tuple(pol.select(3))  # crosses the round boundary internally
@@ -385,7 +392,7 @@ class TestMrrDbDelay:
         assert pol.m == 2
 
     def test_single_survivor_plays_itself(self):
-        pol = self.make(k=2, schedule=lambda m: 1)
+        pol = self.make(k=2)
         pol.active = [1]
         assert tuple(pol.select(1)) == (1, 1)
         assert pol.declared_winner() == 1
@@ -396,7 +403,7 @@ class TestMrrDbDelay:
         mu[0, 2], mu[2, 0] = 0.9, 0.1
         mu[1, 2], mu[2, 1] = 0.6, 0.4
         matrix = validate_matrix(mu)
-        pol = MrrDbDelay(3, horizon=4000, mean_delay=1.0, schedule=lambda m: 40 * m)
+        pol = self.make(k=3, n_target=40)
         env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(23))
         for t in range(1, 4000):
             pol.observe(t, env.observe_new(t))
@@ -406,7 +413,7 @@ class TestMrrDbDelay:
         assert pol.active == [0]
 
     def test_active_chain_shrinks_monotonically(self):
-        pol = self.make(k=4, schedule=lambda m: 5 * m)
+        pol = self.make(k=4, n_target=5)
         sets = [set(pol.active)]
         pol.plays = {(i, j): 5 for i in range(4) for j in range(4) if i != j}
         pol.convs = {(i, j): (0.5 if i == 0 else 1.0) for i in range(4) for j in range(4) if i != j}
@@ -416,7 +423,7 @@ class TestMrrDbDelay:
 
     def test_declared_winner_mid_round_uses_worst_case_mean(self):
         # horizon cut before any elimination: winner = argmax_i min_j mean
-        pol = self.make(k=3, schedule=lambda m: 4)
+        pol = self.make(k=3, n_target=4)
         pol.plays = {(i, j): 4 for i in range(3) for j in range(3) if i != j}
         pol.convs = {
             (0, 1): 3.0, (0, 2): 1.0,   # min 0.25
@@ -426,8 +433,8 @@ class TestMrrDbDelay:
         assert pol.declared_winner() == 1
 
     def test_aggregated_counts_credit_previous_pair(self):
-        pol = self.make(k=2, schedule=lambda m: 5, aggregated=True)
-        first = tuple(pol.next_pair(1))
+        pol = self.make(k=2, n_target=5, aggregated=True)
+        first = tuple(pol.select(1))
         pol.observe_count(2, 3)
         assert pol.convs[first] == 3.0
         pol.observe_count(3, 0)  # zero-count steps change nothing
@@ -463,6 +470,15 @@ def win_matrices(draw):
     return np.array(counts, dtype=np.float64).reshape(k, k), draw(st.integers(1, 10**6))
 
 
+@st.composite
+def mrr_drives(draw):
+    """(k, aggregated, steps): per step a conversion count and how many plays
+    back the conversions credit (standard mode; aggregated credits the last)."""
+    k = draw(st.integers(2, 5))
+    step = st.tuples(st.sampled_from([0, 0, 0, 1, 2]), st.integers(0, 3))
+    return k, draw(st.booleans()), draw(st.lists(step, min_size=1, max_size=300))
+
+
 class TestSharedRules:
     """The list-based helpers against the rules they replaced (tests/reference_rules.py)."""
 
@@ -488,7 +504,7 @@ class TestSharedRules:
     def test_mrr_end_round_matches_old_rule(self, case):
         score, active, margin = case
         k = len(score)
-        pol = MrrDbDelay(k, horizon=10**6, mean_delay=2.0, schedule=lambda m: 64)
+        pol = MrrDbDelay(k, horizon=10**6, mean_delay=2.0)
         pol.active, pol.gamma = list(active), margin
         # 64 plays reproduce every dyadic score exactly; no plays read as NaN
         cells = [(i, j, x) for i, row in enumerate(score) for j, x in enumerate(row)]
@@ -500,6 +516,30 @@ class TestSharedRules:
         assert pol.end_round() == eliminated
         assert pol.active == survivors
         assert pol.rescued_rounds == ([1] if rescued else [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(mrr_drives())
+    def test_mrr_select_matches_old_rule(self, case):
+        k, aggregated, steps = case
+        new, old = (
+            MrrDbDelay(k, horizon=1, mean_delay=0.0, aggregated=aggregated) for _ in range(2)
+        )
+        played = []
+        for t, (count, back) in enumerate(steps, start=1):
+            if aggregated:
+                new.observe_count(t, count)
+                old.observe_count(t, count)
+            elif played:
+                s = max(len(played) - back, 1)
+                u, v = played[s - 1]
+                conversions = [PendingOutcome(s, u, v, 1, t - s)] * count
+                new.observe(t, conversions)
+                old.observe(t, conversions)
+            action = new.select(t)
+            assert action == reference_rules.mrr_select(old)
+            for attr in ("m", "n_target", "active", "rescued_rounds", "_prev_pair"):
+                assert getattr(new, attr) == getattr(old, attr), attr
+            played.append(tuple(action))
 
     @settings(max_examples=200, deadline=None)
     @given(win_matrices())
