@@ -29,7 +29,6 @@ from .environment import (
     DuelingEnvironment,
     PendingOutcome,
     PreferenceMatrix,
-    RegretTracker,
     validate_matrix,
 )
 from .estimator import DelayCorrectedEstimator
@@ -63,7 +62,6 @@ __all__ = [
     "PendingOutcome",
     "PolicyAction",
     "PreferenceMatrix",
-    "RegretTracker",
     "RrDbDelay",
     "RucbBaseline",
     "RucbDelay",

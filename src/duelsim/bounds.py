@@ -28,7 +28,6 @@ class BoundInputs:
     m_window: int = 1000
     tau_1: float = 1.0
     tau_m: float = 1.0
-    delta: float = 0.1
     mean_delay: float = 0.0
 
     def __post_init__(self):

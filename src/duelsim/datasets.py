@@ -13,7 +13,7 @@ import numpy as np
 from .environment import PreferenceMatrix, validate_matrix
 from .errors import MatrixParseError
 
-# name -> (arm count, data file); arithmetic is formulaic, the rest load CSVs
+# name -> (arm count, data file); every built-in, arithmetic included, loads a CSV
 BUILTIN_SPECS: dict[str, tuple[int, str]] = {
     "six-rankers": (6, "six_rankers.csv"),
     "mslr": (5, "mslr.csv"),

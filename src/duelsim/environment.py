@@ -97,20 +97,6 @@ def validate_matrix(raw) -> PreferenceMatrix:
     return PreferenceMatrix(mu=fixed, winner=int(dominant[0]))
 
 
-class RegretTracker:
-    """Accumulates true per-step regret (gap_u + gap_v) / 2."""
-
-    def __init__(self, matrix: PreferenceMatrix):
-        # Python floats: the running sum stays a float, with the same IEEE results
-        self.gaps: list[float] = matrix.gaps().tolist()
-        self.cumulative = 0.0
-
-    def instant_regret(self, u: int, v: int) -> float:
-        r = (self.gaps[u] + self.gaps[v]) / 2.0
-        self.cumulative += r
-        return r
-
-
 class PendingOutcome(NamedTuple):
     """Hidden truth of one comparison: played at s, outcome x, delay d.
 

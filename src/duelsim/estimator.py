@@ -28,6 +28,9 @@ of one table ext[i] = tau(clip(2M - i, 0, M)), with d = t - last_t - 1
 clamped to [-M, M], and a whole-matrix query is one bincount that adds
 each pair's weights oldest first.
 
+rucb-delay (log term log t, via ucb_matrix) and rrdb-delay (alpha 1, log
+term log(K t / delta)) rank pairs by one delay-corrected bound, corrected_bounds.
+
 Call discipline per step t: ingest the conversions that land at t, then
 query (statistics describe plays up to t-1), then record the play at t.
 """
@@ -164,15 +167,19 @@ class DelayCorrectedEstimator:
         return self.n, n_tilde, s
 
     def ucb_matrix(self, t: int, alpha: float) -> np.ndarray:
-        """Optimistic bounds mu_hat + sqrt(alpha * N * log t / Ntilde^2) at step t.
+        """corrected_bounds at step t with log term log t."""
+        return corrected_bounds(*self._stats(t), alpha, math.log(t))
 
-        1/2 on the diagonal; 1 where the pair has no discounted plays yet.
-        """
-        n, n_tilde, s = self._stats(t)
-        # no-data pairs divide by 1 instead of 0 and are overwritten below
-        empty = n_tilde == 0.0
-        n_tilde = n_tilde + empty
-        u = s / n_tilde + np.sqrt(alpha * n * math.log(t) / (n_tilde * n_tilde))
-        u[empty] = 1.0
-        u.ravel()[:: self.k + 1] = 0.5
-        return u
+
+def corrected_bounds(n, n_tilde, s, alpha: float, log_term: float) -> np.ndarray:
+    """Optimistic bounds S/Ntilde + sqrt(alpha * N * log_term / Ntilde^2).
+
+    1/2 on the diagonal; 1 where the pair has no discounted plays yet.
+    """
+    # no-data pairs divide by 1 instead of 0 and are overwritten below
+    empty = n_tilde == 0.0
+    n_tilde = n_tilde + empty
+    u = s / n_tilde + np.sqrt(alpha * n * log_term / (n_tilde * n_tilde))
+    u[empty] = 1.0
+    u.ravel()[:: u.shape[0] + 1] = 0.5
+    return u

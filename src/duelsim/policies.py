@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import n_schedule, n_schedule_aggregated
-from .estimator import DelayCorrectedEstimator
+from .estimator import DelayCorrectedEstimator, corrected_bounds
 
 
 class PolicyAction(NamedTuple):
@@ -103,7 +103,7 @@ class RucbDelay:
         tau_table: np.ndarray,
         rng: np.random.Generator,
     ):
-        if alpha < 1.0:
+        if not alpha >= 1.0:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         self.k = k
         self.alpha = alpha
@@ -146,6 +146,8 @@ class RucbBaseline:
     name = "rucb-baseline"
 
     def __init__(self, k: int, *, alpha: float, rng: np.random.Generator):
+        if not alpha > 0.5:
+            raise ValueError(f"alpha must exceed 1/2, got {alpha}")
         self.k = k
         self.alpha = alpha
         self.rng = rng
@@ -194,16 +196,14 @@ class RrDbDelay:
     """Round-robin sweeps over active pairs with per-sweep elimination.
 
     A sweep visits every unordered active pair in index order, playing
-    both orderings back to back.  After a sweep, any arm whose corrected
-    bound against some active opponent falls below 1/2 is dropped; the
-    survivor, once unique, is played against itself.
+    both orderings back to back.  After a sweep, any arm whose corrected_bounds
+    entry (log term log(K t / delta)) against some active opponent falls
+    below 1/2 is dropped; the survivor, once unique, is played against itself.
     """
 
     name = "rrdb-delay"
 
-    def __init__(
-        self, k: int, *, window: int, tau_table: np.ndarray, delta: float
-    ):
+    def __init__(self, k: int, *, window: int, tau_table: np.ndarray, delta: float):
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
         self.k = k
@@ -222,21 +222,10 @@ class RrDbDelay:
                 pairs.append(PolicyAction(j, i))
         return pairs
 
-    def _bound(self, n: int, n_tilde: float, s_ij: float, t: int) -> float:
-        """Corrected round-robin bound; optimistic 1 when the pair has no data."""
-        if n_tilde == 0.0:
-            return 1.0
-        radius = math.sqrt(
-            n * math.log(self.k * t / self.delta) / (n_tilde * n_tilde)
-        )
-        return s_ij / n_tilde + radius
-
     def _eliminate(self, t: int) -> None:
-        n, n_tilde, s = (x.tolist() for x in self.est.matrices(t))
-        bounds = [
-            [self._bound(n[i][j], n_tilde[i][j], s[i][j], t) for j in range(self.k)]
-            for i in range(self.k)
-        ]
+        log_term = math.log(self.k * t / self.delta)
+        with np.errstate(invalid="ignore"):  # 0 * inf where no data if K t / delta overflows
+            bounds = corrected_bounds(*self.est.matrices(t), 1.0, log_term).tolist()
         self.active = _unbeaten(bounds, self.active, 0.0) or [
             _best_worst_case(bounds, self.active)
         ]

@@ -1,8 +1,9 @@
-"""Best-worst-case, elimination and MRR select rules as first written, kept as references.
+"""Best-worst-case, elimination, bound and MRR select rules as first written, kept as references.
 
-The policies now share list-based helpers and MrrDbDelay selects in one
-loop; these are verbatim copies of the dict- and numpy-based rules and of
-the next_pair/RoundComplete select they replaced.
+The policies now share list-based helpers, RrDbDelay reads its bounds from
+estimator.corrected_bounds and MrrDbDelay selects in one loop; these are
+verbatim copies of the dict- and numpy-based rules, of the scalar
+round-robin bound and of the next_pair/RoundComplete select they replaced.
 """
 
 import math
@@ -26,6 +27,16 @@ def rrdb_survivors(bounds, active):
         )
         survivors = [keep]
     return survivors
+
+
+def rrdb_bound(self, n, n_tilde, s_ij, t):
+    """RrDbDelay._bound, with the policy passed as self."""
+    if n_tilde == 0.0:
+        return 1.0
+    radius = math.sqrt(
+        n * math.log(self.k * t / self.delta) / (n_tilde * n_tilde)
+    )
+    return s_ij / n_tilde + radius
 
 
 def mrr_end_round(means, active, gamma):

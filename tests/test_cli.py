@@ -167,6 +167,15 @@ class TestRunCommand:
         assert code == 2
         assert "aggregated" in err
 
+    @pytest.mark.parametrize("alpha", ["-1", "0", "0.5"])
+    def test_baseline_alpha_at_or_below_half_fails_cleanly(self, tmp_path, capsys, alpha):
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "arithmetic", "--policy", "rucb-baseline",
+            "--alpha", alpha, "--T", "50", "--runs", "1", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == f"duelsim: error: alpha must exceed 1/2, got {float(alpha)}\n"
+
     def test_aggregated_mrr_runs(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--dataset", "arithmetic", "--policy", "mrr-delay",

@@ -3,10 +3,12 @@ import pytest
 
 from duelsim import (
     DuelingEnvironment,
-    RegretTracker,
+    ExperimentConfig,
+    PolicyAction,
     arithmetic_matrix,
     deterministic,
     geometric,
+    run_one,
     validate_matrix,
 )
 from duelsim.errors import (
@@ -275,22 +277,41 @@ class TestAggregatedMode:
 
 
 class TestRegret:
+    @staticmethod
+    def regret_trace(pairs):
+        """run_one's regret at every step for a policy that plays pairs in order."""
+
+        class Scripted:
+            def select(self, t):
+                return PolicyAction(*pairs[t - 1])
+
+            def observe(self, t, conversions):
+                pass
+
+        config = ExperimentConfig(
+            dataset="arithmetic", policy="rucb-delay", delay="det:1",
+            horizon=len(pairs), runs=1, trace_stride=1,
+        )
+        trace = run_one(config, 0, policy_factory=lambda m, rng: Scripted())
+        assert trace.times.tolist() == list(range(1, len(pairs) + 1))
+        return trace.regret.tolist()
+
     def test_examples(self):
-        m = arithmetic_matrix(10)
-        tr = RegretTracker(m)
-        assert tr.instant_regret(0, 0) == 0.0
-        assert tr.instant_regret(1, 2) == pytest.approx(0.0375)
-        assert tr.instant_regret(0, 9) == pytest.approx(0.1125)
+        regret = self.regret_trace([(0, 0), (1, 2), (0, 9)])
+        assert regret[0] == 0.0
+        assert regret[1] == pytest.approx(0.0375)
+        assert regret[2] - regret[1] == pytest.approx(0.1125)
 
     def test_cumulative_is_exact_running_sum(self):
         m = arithmetic_matrix(10)
-        tr = RegretTracker(m)
         rng = np.random.default_rng(0)
-        expected = 0.0
-        for _ in range(500):
-            u, v = rng.integers(10), rng.integers(10)
-            expected += tr.instant_regret(u, v)
-        assert tr.cumulative == expected
+        pairs = [(int(rng.integers(10)), int(rng.integers(10))) for _ in range(500)]
+        gaps = [float(x) - 0.5 for x in m.mu[m.winner]]
+        expected, total = [], 0.0
+        for u, v in pairs:
+            total += (gaps[u] + gaps[v]) / 2.0
+            expected.append(total)
+        assert self.regret_trace(pairs) == expected
 
     def test_gap_signs(self):
         m = arithmetic_matrix(10)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from duelsim import ExperimentConfig, PolicyAction, run_many, run_one, write_results
+from duelsim import (
+    ExperimentConfig,
+    PolicyAction,
+    geometric,
+    run_many,
+    run_one,
+    write_results,
+)
 
 
 class ConstantPolicy:
@@ -77,6 +84,11 @@ class TestRunOne:
             config(runs=0)
         with pytest.raises(ValueError):
             config(trace_stride=0)
+
+    def test_delay_object_rejected(self):
+        # run_many would fail on it with an AttributeError from the spec parser
+        with pytest.raises(ValueError, match="delay must be a spec string .*det:<d>"):
+            config(policy="mrr-delay", delay=geometric(0.1))
 
     def test_aggregated_run_works_for_mrr_only(self):
         trace = run_one(config(policy="mrr-delay", aggregated=True), 1)

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -35,3 +36,19 @@ def test_every_error_type_is_raised():
     }
     assert defined, "no DuelSimError subclasses found"
     assert defined - raised == set()
+
+
+def test_bench_trace_targets_resolve():
+    """Every method the bench tracer wraps still exists; install() skips a missing
+    one silently, and its per-layer metric would then read 0."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = {
+        (owner, attr)
+        for module, owner, attr, _ in tracing.TARGETS
+        if attr not in vars(getattr(getattr(duelsim, module), owner))
+    }
+    # the policies without anonymous-count feedback have no observe_count
+    assert missing <= {("RucbDelay", "observe_count"), ("RrDbDelay", "observe_count")}

@@ -20,9 +20,11 @@ from duelsim import (
     run_many,
     validate_matrix,
 )
+from duelsim.estimator import corrected_bounds
 from duelsim.policies import _best_worst_case, _champion_pair, _unbeaten
 import reference_rules
 from reference_rucb import classical_rucb_actions, reference_champion_pair
+from test_estimator import DELAY_LAWS
 
 
 def run_actions(matrix, delay, policy, horizon):
@@ -72,6 +74,11 @@ class TestChampionPair:
 
 
 class TestRucbDelaySelection:
+    @pytest.mark.parametrize("alpha", [0.5, math.nan])
+    def test_alpha_below_one_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be >= 1, got"):
+            fresh_policy("rucb-delay", alpha=alpha)
+
     def test_no_data_two_arms(self):
         counts = {0: 0, 1: 0}
         for seed in range(200):
@@ -152,6 +159,11 @@ class TestRucbDelaySelection:
 
 
 class TestRucbBaseline:
+    @pytest.mark.parametrize("alpha", [0.5, 0.0, -1.0, math.nan])
+    def test_alpha_at_or_below_half_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must exceed 1/2, got"):
+            RucbBaseline(3, alpha=alpha, rng=np.random.default_rng(0))
+
     def test_pending_play_counts_as_loss_for_first_arm(self):
         pol = fresh_policy("rucb-baseline", k=3, seed=3)
         a = pol.select(1)
@@ -231,7 +243,9 @@ class TestRucbBaseline:
 class TestRrDbDelay:
     @staticmethod
     def bound(pol, i, j, t):
-        return pol._bound(*pol.est.pair_stats(i, j, t)[:3], t)
+        """The entry of the elimination bounds RrDbDelay._eliminate reads at step t."""
+        log_term = math.log(pol.k * t / pol.delta)
+        return corrected_bounds(*pol.est.matrices(t), 1.0, log_term)[i, j]
 
     def test_sweep_visits_both_orderings_pairwise(self):
         pol = RrDbDelay(3, window=20, tau_table=geometric(0.5).tau_table(20), delta=0.01)
@@ -477,6 +491,70 @@ def mrr_drives(draw):
     k = draw(st.integers(2, 5))
     step = st.tuples(st.sampled_from([0, 0, 0, 1, 2]), st.integers(0, 3))
     return k, draw(st.booleans()), draw(st.lists(step, min_size=1, max_size=300))
+
+
+@st.composite
+def rrdb_states(draw):
+    """(policy, active) after a random play stream, to query at last_t + 1.
+
+    Plays come in runs of up to 40 from a pool of at most three ordered
+    pairs, each of which either always or never wins, so some arms lose
+    often enough for their bound to fall below 1/2.  A win lands its delay
+    later; gaps past M fold plays out of the window.
+    """
+    k = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 15))
+    delta = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    pol = RrDbDelay(k, window=m, tau_table=draw(DELAY_LAWS).tau_table(m), delta=delta)
+    arm = st.integers(0, k - 1)
+    pool = draw(st.lists(st.tuples(arm, arm, st.booleans()), min_size=1, max_size=3))
+    step = st.tuples(
+        st.integers(1, 40),
+        st.just(1) | st.integers(1, m + 2),
+        st.sampled_from(pool),
+        st.integers(1, m + 2),
+    )
+    pending: dict[int, list[tuple[int, int, int]]] = {}
+
+    def deliver_upto(t):
+        for land in sorted(x for x in pending if x <= t):
+            for s, a, b in pending.pop(land):
+                pol.est.ingest_conversion(s, a, b)
+
+    t = 0
+    for repeat, gap, (u, v, wins), delay in draw(st.lists(step, max_size=8)):
+        for _ in range(repeat):
+            t += gap
+            deliver_upto(t)
+            pol.est.record_play(u, v, t)
+            if wins:
+                pending.setdefault(t + delay, []).append((t, u, v))
+    deliver_upto(t + 1)
+    pol.active = sorted(draw(st.sets(arm, min_size=2)))
+    return pol, list(pol.active)
+
+
+class TestRrDbBounds:
+    """corrected_bounds against the scalar RrDbDelay._bound it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rrdb_states())
+    def test_matches_scalar_bound_and_old_elimination(self, state):
+        pol, active = state
+        t = pol.est.last_t + 1
+        n, n_tilde, s = (x.tolist() for x in pol.est.matrices(t))
+        old = {
+            (i, j): reference_rules.rrdb_bound(pol, n[i][j], n_tilde[i][j], s[i][j], t)
+            for i in range(pol.k)
+            for j in range(pol.k)
+            if i != j
+        }
+        log_term = math.log(pol.k * t / pol.delta)
+        with np.errstate(invalid="ignore"):  # as in _eliminate, for delta near 0
+            new = corrected_bounds(*pol.est.matrices(t), 1.0, log_term)
+        assert {key: new[key] for key in old} == old
+        pol._eliminate(t)
+        assert pol.active == reference_rules.rrdb_survivors(old, active)
 
 
 class TestSharedRules:
