@@ -14,6 +14,8 @@ The environment keeps only the wins that have not been delivered yet,
 keyed by landing step, so its storage is O(pending wins), not O(t).  Each
 step's conversions are handed out once: observing step t removes them.
 The full censored view Y_{s,t} is the running union of those deliveries.
+play_run(u, v, n) plays one pair n times with the draws of n steps and
+hands out the conversions landing inside the run at once.
 Each play's hidden truth is a PendingOutcome, an immutable NamedTuple.
 """
 
@@ -154,6 +156,49 @@ class DuelingEnvironment:
             self._landings.setdefault(t + d, []).append(out)
         self.t = t + 1
         return out
+
+    def play_run(self, u: int, v: int, n: int) -> list[PendingOutcome] | int:
+        """Play (u, v) at steps t..t+n-1 with exactly the draws of n step calls.
+
+        Returns the conversions landing strictly inside the run, at steps
+        t+1..t+n-1: what observe_new (a list) or observe_aggregated (a
+        count) would have delivered over those steps.  Later wins stay
+        queued.  Under a deterministic delay, which draws nothing, the n
+        outcomes come from one rng.random(n) block, the same doubles as n
+        scalar draws; every other law steps once per play.
+        """
+        t = self.t
+        end = t + n
+        k = self.k
+        if n < 1:
+            raise ValueError(f"run length must be >= 1, got {n}")
+        if not (0 <= u < k and 0 <= v < k):
+            raise ValueError(f"arm pair ({u}, {v}) out of range for k={k}")
+        if self.horizon is not None and end - 1 > self.horizon:
+            raise HorizonExceeded(
+                f"step {max(t, self.horizon + 1)} past horizon {self.horizon}"
+            )
+        inside: list[int] = []  # offsets of the block's wins landing before end
+        if self.delay.kind == "deterministic":
+            d = self.delay.params[0]
+            wins = self.rng.random(n) < self._mu[u][v]
+            split = max(n - d, 0)  # plays before t + split land inside the run
+            for i in np.flatnonzero(wins[split:]).tolist():
+                s = t + split + i
+                self._landings.setdefault(s + d, []).append(PendingOutcome(s, u, v, 1, d))
+            inside = np.flatnonzero(wins[:split]).tolist()
+            self.t = end
+        else:
+            for _ in range(n):
+                self.step(u, v)
+        # queued wins landing inside the run; under a deterministic delay all
+        # of them were played before t, so they land before the block's own
+        landings = self._landings
+        due = sorted(s for s in landings if t < s < end)
+        if self.aggregated:
+            return sum(len(landings.pop(s)) for s in due) + len(inside)
+        early = [o for s in due for o in landings.pop(s)]
+        return early + [PendingOutcome(t + i, u, v, 1, d) for i in inside]
 
     def observe_new(self, t: int) -> list[PendingOutcome]:
         """Conversions landing exactly at step t, delivered once.

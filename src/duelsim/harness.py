@@ -85,8 +85,12 @@ def run_one(
 
     Per step t the policy first receives whatever converted at t, then
     picks a pair, the environment draws the hidden outcome, and the true
-    regret accumulates.  policy_factory(matrix, rng) overrides the named
-    policy (used for scripted policies in tests).
+    regret accumulates.  A policy with select_run (mrr-delay) may commit a
+    run of n plays of one pair, at most the window M: the environment plays
+    them in one play_run call and the conversions landing inside the run
+    are fed once, at its last step.  Any other policy plays runs of one.
+    policy_factory(matrix, rng) overrides the named policy (used for
+    scripted policies in tests).
     """
     if matrix is None:
         matrix = datasets.resolve(config.dataset)
@@ -125,12 +129,23 @@ def run_one(
         deliver, feed = env.observe_aggregated, policy.observe_count
     else:
         deliver, feed = env.observe_new, policy.observe
-    select, step = policy.select, env.step
+    select_run = getattr(policy, "select_run", None)
+    select, step, play_run = policy.select, env.step, env.play_run
+    window = config.window
+    run_end = 1  # first step after the current run
     for t in range(1, horizon + 1):
-        feed(t, deliver(t))
-        u, v = select(t)
-        step(u, v)
-        cumulative += (gaps[u] + gaps[v]) / 2.0
+        if t == run_end:
+            feed(t, deliver(t))
+            if select_run is None:
+                u, v = select(t)
+                step(u, v)
+                run_end += 1
+            else:
+                (u, v), n = select_run(t, min(window, horizon + 1 - t))
+                feed(t + n - 1, play_run(u, v, n))
+                run_end += n
+            gap = (gaps[u] + gaps[v]) / 2.0
+        cumulative += gap
         if t % stride == 0 or t == horizon:
             times.append(t)
             regret.append(cumulative)

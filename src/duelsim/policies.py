@@ -6,7 +6,8 @@ Every policy exposes:
   observe_count(t, count)       anonymous-count variant (multi-round only)
 
 and read-only inspection for the harness: declared_winner() on all four,
-active_arms on the elimination policies only.
+active_arms on the elimination policies only.  MrrDbDelay also has
+select_run(t, limit), which commits a run of plays of one pair.
 One instance drives one run; none of them share state.
 
 Random-draw order inside champion-style selection (kept fixed so seeded
@@ -265,10 +266,14 @@ class MrrDbDelay:
     In aggregated mode anonymous per-step counts are credited to the pair
     played on the previous step.
 
-    select plays the round's first ordered pair, in index order, that is
-    still below n_m.  When every pair has met n_m it ends the round in
-    place and carries on in the next; n_m strictly increases, so that
-    happens at most once per call.  A sole survivor plays itself.
+    select_run commits a run of consecutive plays of the round's first
+    ordered pair, in index order, that is still below n_m: up to the plays
+    it lacks, at most limit.  When every pair has met n_m it ends the round
+    in place and carries on in the next; n_m strictly increases, so that
+    happens at most once per call.  A sole survivor plays itself for the
+    whole limit.  Counts are read only in end_round and the pair played
+    never depends on feedback, so conversions landing inside a run may be
+    delivered at its last step.  select(t) is the one-play run.
     """
 
     name = "mrr-delay"
@@ -325,7 +330,8 @@ class MrrDbDelay:
         self._pos = 0
         return eliminated
 
-    def select(self, t: int) -> PolicyAction:
+    def select_run(self, t: int, limit: int) -> tuple[PolicyAction, int]:
+        """The pair for steps t, t+1, ..., t+n-1 and its run length n <= limit."""
         while len(self.active) > 1:
             if self._pos == len(self._pairs):
                 self.end_round()
@@ -333,13 +339,17 @@ class MrrDbDelay:
             pair = self._pairs[self._pos]
             plays = self.plays.get(pair, 0)
             if plays < self.n_target:
-                self.plays[pair] = plays + 1
+                n = min(self.n_target - plays, limit)
+                self.plays[pair] = plays + n
                 self._prev_pair = pair
-                return PolicyAction(*pair)
+                return PolicyAction(*pair), n
             self._pos += 1
         w = self.active[0]
         self._prev_pair = (w, w)
-        return PolicyAction(w, w)
+        return PolicyAction(w, w), limit
+
+    def select(self, t: int) -> PolicyAction:
+        return self.select_run(t, 1)[0]
 
     def observe(self, t: int, conversions) -> None:
         for o in conversions:
@@ -405,10 +415,12 @@ def make_policy(
     if name == RucbBaseline.name:
         return RucbBaseline(k, alpha=alpha, rng=rng)
     if name == RrDbDelay.name:
+        delta = delta if delta is not None else 1.0 / horizon
+        if 0.0 < delta and not math.isfinite(k * horizon / delta):
+            raise ValueError(
+                f"delta {delta} too small: K*T/delta overflows for K={k}, T={horizon}"
+            )
         return RrDbDelay(
-            k,
-            window=window,
-            tau_table=delay.tau_table(window),
-            delta=delta if delta is not None else 1.0 / horizon,
+            k, window=window, tau_table=delay.tau_table(window), delta=delta
         )
     return MrrDbDelay(k, horizon=horizon, mean_delay=delay.mean, aggregated=aggregated)

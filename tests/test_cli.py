@@ -176,6 +176,16 @@ class TestRunCommand:
         assert code == 2
         assert err == f"duelsim: error: alpha must exceed 1/2, got {float(alpha)}\n"
 
+    def test_delta_overflowing_log_term_fails_cleanly(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "arithmetic", "--policy", "rrdb-delay",
+            "--delta", "1e-320", "--T", "50", "--runs", "1", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == (
+            "duelsim: error: delta 1e-320 too small: K*T/delta overflows for K=10, T=50\n"
+        )
+
     def test_aggregated_mrr_runs(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--dataset", "arithmetic", "--policy", "mrr-delay",

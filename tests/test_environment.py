@@ -7,8 +7,10 @@ from duelsim import (
     PolicyAction,
     arithmetic_matrix,
     deterministic,
+    from_table,
     geometric,
     run_one,
+    uniform_delay,
     validate_matrix,
 )
 from duelsim.errors import (
@@ -217,6 +219,75 @@ class TestDelivery:
             env.step(0, 1)
             peak = max(peak, sum(len(w) for w in env._landings.values()))
         assert peak == 100
+
+
+class TestPlayRun:
+    """play_run(u, v, n) against n step calls on a twin environment."""
+
+    LAWS = {
+        "det:1": deterministic(1),
+        "det:5": deterministic(5),
+        "det:100": deterministic(100),
+        "geometric:0.2": geometric(0.2),
+        "uniform:2,9": uniform_delay(2, 9),
+        "table": from_table([0.1, 0.0, 0.5, 0.4]),
+    }
+
+    @staticmethod
+    def _twins(delay, aggregated, seed=3):
+        return [
+            DuelingEnvironment(
+                arithmetic_matrix(4), delay, np.random.default_rng(seed), aggregated=aggregated
+            )
+            for _ in range(2)
+        ]
+
+    @pytest.mark.parametrize("aggregated", [False, True])
+    @pytest.mark.parametrize("law", list(LAWS))
+    @pytest.mark.parametrize("n", [1, 3, 250])
+    def test_matches_step_calls(self, law, aggregated, n):
+        run_env, step_env = self._twins(self.LAWS[law], aggregated)
+        for env in (run_env, step_env):
+            observe = env.observe_aggregated if aggregated else env.observe_new
+            for t in range(1, 41):  # wins of earlier plays stay queued across the run
+                observe(t)
+                env.step(t % 4, (t + 1) % 4)
+            observe(41)
+        got = run_env.play_run(2, 0, n)
+        observe = step_env.observe_aggregated if aggregated else step_env.observe_new
+        step_env.step(2, 0)
+        want = 0 if aggregated else []
+        for t in range(42, 41 + n):
+            want += observe(t)
+            step_env.step(2, 0)
+        assert got == want
+        assert run_env.t == step_env.t == 41 + n
+        assert run_env.rng.bit_generator.state == step_env.rng.bit_generator.state
+        assert run_env._landings == step_env._landings
+
+    def test_long_run_leaves_only_late_wins_queued(self):
+        mu = np.full((2, 2), 0.5)
+        mu[0, 1], mu[1, 0] = 1.0, 0.0  # every play wins
+        env = DuelingEnvironment(
+            validate_matrix(mu), deterministic(100), np.random.default_rng(0)
+        )
+        inside = env.play_run(0, 1, 1000)
+        assert [o.s for o in inside] == list(range(1, 901))  # land at 101..1000
+        assert sum(len(w) for w in env._landings.values()) == 100
+
+    @pytest.mark.parametrize("law", ["det:5", "geometric:0.2"])
+    def test_validates_like_step(self, law):
+        env = DuelingEnvironment(
+            arithmetic_matrix(4), self.LAWS[law], np.random.default_rng(0), horizon=10
+        )
+        with pytest.raises(ValueError, match="out of range"):
+            env.play_run(0, 4, 3)
+        with pytest.raises(ValueError, match="run length must be >= 1"):
+            env.play_run(0, 1, 0)
+        env.play_run(0, 1, 8)
+        with pytest.raises(HorizonExceeded, match="step 11 past horizon 10"):
+            env.play_run(0, 1, 3)
+        assert env.t == 9  # the whole run is refused before any draw
 
 
 class TestAggregatedMode:

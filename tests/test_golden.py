@@ -56,6 +56,19 @@ GOLDEN = {
     ),
 }
 
+# mrr-delay past round 1: at T=2000 every case above stops inside the first
+# round, so these pin end_round, carry-over and a sole survivor.
+# (policy, delay, aggregated, horizon) -> digest.  Seed 11 ends det:5 with
+# (0,) from the end of round 4 on, and geometric:0.1 aggregated with (0, 1, 2).
+ROUND_GOLDEN = {
+    ("mrr-delay", "det:5", False, 20_000): (
+        "167ded4a819ecb55623e3b06227aceb03b5a536c6b9367d3f009613f14c627ab"
+    ),
+    ("mrr-delay", "geometric:0.1", True, 60_000): (
+        "ed7a283348a0497ab77563fe93220000645b1674ebf62e1237fc1b9a53ad15f9"
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def steep_csv(tmp_path_factory):
@@ -67,15 +80,12 @@ def steep_csv(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize(
-    "policy,delay,aggregated", list(GOLDEN), ids=lambda x: str(x).lower()
-)
-def test_runs_csv_digest(tmp_path, steep_csv, policy, delay, aggregated):
+def _digest(tmp_path, steep_csv, policy, delay, aggregated, horizon):
     config = ExperimentConfig(
         dataset=steep_csv,
         policy=policy,
         delay=delay,
-        horizon=2000,
+        horizon=horizon,
         runs=2,
         base_seed=11,
         window=40,
@@ -83,5 +93,22 @@ def test_runs_csv_digest(tmp_path, steep_csv, policy, delay, aggregated):
         aggregated=aggregated,
     )
     write_results(run_many(config), tmp_path)
-    digest = hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+    return hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "policy,delay,aggregated", list(GOLDEN), ids=lambda x: str(x).lower()
+)
+def test_runs_csv_digest(tmp_path, steep_csv, policy, delay, aggregated):
+    digest = _digest(tmp_path, steep_csv, policy, delay, aggregated, 2000)
     assert digest == GOLDEN[(policy, delay, aggregated)]
+
+
+@pytest.mark.parametrize(
+    "policy,delay,aggregated,horizon", list(ROUND_GOLDEN), ids=lambda x: str(x).lower()
+)
+def test_runs_csv_digest_across_rounds(
+    tmp_path, steep_csv, policy, delay, aggregated, horizon
+):
+    digest = _digest(tmp_path, steep_csv, policy, delay, aggregated, horizon)
+    assert digest == ROUND_GOLDEN[(policy, delay, aggregated, horizon)]

@@ -1,12 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duelsim import (
+    DuelingEnvironment,
     ExperimentConfig,
     PolicyAction,
     geometric,
+    make_policy,
     run_many,
     run_one,
+    validate_matrix,
     write_results,
 )
 
@@ -99,6 +106,137 @@ class TestRunOne:
     def test_paper_scale_override(self):
         c = config().at_paper_scale()
         assert c.horizon == 200_000 and c.runs == 100
+
+
+def steep_rows(k):
+    """Arm i beats arm j w.p. 0.5 + 0.1 (j - i), as in the golden cases."""
+    return [[(5.0 + (j - i)) / 10.0 for j in range(k)] for i in range(k)]
+
+
+@pytest.fixture(scope="module")
+def table_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("delays") / "table.txt"
+    path.write_text("0.2\n0\n0.3\n0.5\n")
+    return f"table:{path}"
+
+
+@st.composite
+def mrr_cases(draw):
+    """(rows, law, aggregated, horizon, window, stride, seed); arm 0 wins.
+
+    Wide gaps and horizons up to 6000 cross round ends often and reach a
+    sole survivor now and then; windows below the round quota cap runs."""
+    k = draw(st.integers(2, 6))
+    rows = [[0.5] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            rows[i][j] = draw(st.sampled_from([0.6, 0.7, 0.8, 0.9]))
+            rows[j][i] = 1.0 - rows[i][j]
+    law = draw(
+        st.sampled_from(
+            ["det:1", "det:3", "det:40", "geometric:0.3", "geometric:0.05",
+             "uniform:1,6", "uniform:2,30", "table"]
+        )
+    )
+    return (
+        rows,
+        law,
+        draw(st.booleans()),
+        draw(st.integers(200, 6000)),
+        draw(st.integers(1, 60)),
+        draw(st.integers(1, 60)),
+        draw(st.integers(0, 2**16)),
+    )
+
+
+def per_step_reference(config, seed, matrix):
+    """run_one for mrr-delay one play at a time: observe, select, step."""
+    delay = config.delay_distribution()
+    env_seq, _ = np.random.SeedSequence(seed).spawn(2)
+    env = DuelingEnvironment(
+        matrix,
+        delay,
+        np.random.default_rng(env_seq),
+        horizon=config.horizon,
+        aggregated=config.aggregated,
+    )
+    policy = make_policy(
+        "mrr-delay", k=matrix.k, horizon=config.horizon, delay=delay,
+        aggregated=config.aggregated,
+    )
+    gaps = matrix.gaps().tolist()
+    cumulative, times, regret = 0.0, [], []
+    for t in range(1, config.horizon + 1):
+        if config.aggregated:
+            policy.observe_count(t, env.observe_aggregated(t))
+        else:
+            policy.observe(t, env.observe_new(t))
+        u, v = policy.select(t)
+        env.step(u, v)
+        cumulative += (gaps[u] + gaps[v]) / 2.0
+        if t % config.trace_stride == 0 or t == config.horizon:
+            times.append(t)
+            regret.append(cumulative)
+    return times, regret, policy
+
+
+class TestMrrRuns:
+    """run_one plays mrr-delay in runs; every trace must equal the per-step loop."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mrr_cases())
+    @example((steep_rows(5), "det:5", False, 20_000, 40, 50, 11))  # (0,) once round 4 ends
+    @example((steep_rows(3), "det:40", True, 6000, 1000, 100, 2))  # uncapped runs
+    def test_matches_per_step_reference(self, table_spec, case):
+        rows, law, aggregated, horizon, window, stride, seed = case
+        matrix = validate_matrix(rows)
+        config = ExperimentConfig(
+            dataset="arithmetic",
+            policy="mrr-delay",
+            delay=table_spec if law == "table" else law,
+            horizon=horizon,
+            window=window,
+            trace_stride=stride,
+            aggregated=aggregated,
+        )
+        built = []
+
+        def factory(matrix, rng):
+            built.append(
+                make_policy(
+                    "mrr-delay", k=matrix.k, horizon=horizon,
+                    delay=config.delay_distribution(), aggregated=aggregated,
+                )
+            )
+            return built[0]
+
+        trace = run_one(config, seed, matrix=matrix, policy_factory=factory)
+        times, regret, ref = per_step_reference(config, seed, matrix)
+        (policy,) = built
+        assert trace.times.tolist() == times
+        assert trace.regret.tolist() == regret
+        assert trace.winner == ref.declared_winner()
+        assert trace.active == ref.active_arms
+        assert policy.rescued_rounds == ref.rescued_rounds
+        assert (policy.m, policy.plays, policy.convs) == (ref.m, ref.plays, ref.convs)
+
+    def test_sole_survivor_memory_stays_within_window(self):
+        # one play per step peaked at 0.17 MiB on this configuration (CPython
+        # 3.11, numpy 2.4); a sole survivor plays runs of at most `window`
+        # plays, so the run path stays near it instead of growing with T
+        config = ExperimentConfig(
+            dataset="arithmetic", policy="mrr-delay", delay="det:5", horizon=200_000
+        )
+        matrix = validate_matrix(steep_rows(5))
+        run_one(config, 11, matrix=matrix)  # one-time allocations out of the way
+        tracemalloc.start()
+        try:
+            trace = run_one(config, 11, matrix=matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.active == (0,)
+        assert peak <= 1.5 * 0.17 * 2**20
 
 
 class TestRunMany:

@@ -683,6 +683,12 @@ class TestRegistry:
         pol = fresh_policy("rrdb-delay", horizon=4000)
         assert pol.delta == pytest.approx(1 / 4000)
 
+    def test_delta_overflowing_log_term_rejected(self):
+        # log(K T / delta) would be inf, and no arm could ever be eliminated
+        with pytest.raises(ValueError, match="delta 1e-320 too small"):
+            fresh_policy("rrdb-delay", delta=1e-320)
+        assert fresh_policy("rrdb-delay", delta=1e-300).delta == 1e-300
+
     @pytest.mark.parametrize("name", ["rucb-delay", "rrdb-delay", "mrr-delay", "rucb-baseline"])
     def test_all_policies_run_and_are_deterministic(self, name):
         matrix = arithmetic_matrix(4)
