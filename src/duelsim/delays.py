@@ -130,13 +130,19 @@ def parse_delay_spec(spec: str) -> DelayDistribution:
     kind, sep, arg = spec.partition(":")
     if not sep or not arg:
         raise ValueError(f"malformed delay spec {spec!r}")
+    def number(text: str, parse=int):
+        try:
+            return parse(text)
+        except ValueError:
+            raise ValueError(f"malformed delay spec {spec!r}") from None
+
     if kind == "geometric":
-        return geometric(float(arg))
+        return geometric(number(arg, float))
     if kind == "det":
-        return deterministic(int(arg))
+        return deterministic(number(arg))
     if kind == "uniform":
         lo, _, hi = arg.partition(",")
-        return uniform_delay(int(lo), int(hi))
+        return uniform_delay(number(lo), number(hi))
     if kind == "table":
         with open(arg, "r", encoding="utf-8") as fh:
             probs = [float(line) for line in fh if line.strip()]

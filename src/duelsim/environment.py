@@ -14,13 +14,15 @@ The environment keeps only the wins that have not been delivered yet,
 keyed by landing step, so its storage is O(pending wins), not O(t).  Each
 step's conversions are handed out once: observing step t removes them.
 The full censored view Y_{s,t} is the running union of those deliveries.
-play_run(u, v, n) plays one pair n times with the draws of n steps and
-hands out the conversions landing inside the run at once.
 Each play's hidden truth is a PendingOutcome, an immutable NamedTuple.
+Aggregated mode hands out counts only, so it queues a Counter of landing
+steps.  play_run(u, v, n) plays one pair n times with the draws of n
+steps and hands out the conversions landing inside the run at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,8 +140,9 @@ class DuelingEnvironment:
         # nested lists: one Python float read per step, no numpy scalar
         self._mu: list[list[float]] = matrix.mu.tolist()
         self.t = 1  # next step to play
-        # undelivered wins by landing step
-        self._landings: dict[int, list[PendingOutcome]] = {}
+        # undelivered wins by landing step: the outcomes, or their count if aggregated
+        self._landings: dict[int, list[PendingOutcome]] | Counter[int]
+        self._landings = Counter() if aggregated else {}
 
     def step(self, u: int, v: int) -> PendingOutcome:
         """Play (u, v) at the current step and advance time by one."""
@@ -153,7 +156,10 @@ class DuelingEnvironment:
         d = self.delay.sample(self.rng)
         out = PendingOutcome(t, u, v, x, d)
         if x == 1:
-            self._landings.setdefault(t + d, []).append(out)
+            if self.aggregated:
+                self._landings[t + d] += 1
+            else:
+                self._landings.setdefault(t + d, []).append(out)
         self.t = t + 1
         return out
 
@@ -178,27 +184,31 @@ class DuelingEnvironment:
             raise HorizonExceeded(
                 f"step {max(t, self.horizon + 1)} past horizon {self.horizon}"
             )
-        inside: list[int] = []  # offsets of the block's wins landing before end
+        landings = self._landings
+        inside = 0 if self.aggregated else []  # the block's own wins landing in the run
         if self.delay.kind == "deterministic":
             d = self.delay.params[0]
             wins = self.rng.random(n) < self._mu[u][v]
             split = max(n - d, 0)  # plays before t + split land inside the run
-            for i in np.flatnonzero(wins[split:]).tolist():
-                s = t + split + i
-                self._landings.setdefault(s + d, []).append(PendingOutcome(s, u, v, 1, d))
-            inside = np.flatnonzero(wins[:split]).tolist()
+            late = np.flatnonzero(wins[split:]) + (t + split)
+            if self.aggregated:
+                landings.update((late + d).tolist())
+                inside = int(np.count_nonzero(wins[:split]))
+            else:
+                for s in late.tolist():
+                    landings.setdefault(s + d, []).append(PendingOutcome(s, u, v, 1, d))
+                early = (np.flatnonzero(wins[:split]) + t).tolist()
+                inside = [PendingOutcome(s, u, v, 1, d) for s in early]
             self.t = end
         else:
             for _ in range(n):
                 self.step(u, v)
         # queued wins landing inside the run; under a deterministic delay all
         # of them were played before t, so they land before the block's own
-        landings = self._landings
-        due = sorted(s for s in landings if t < s < end)
-        if self.aggregated:
-            return sum(len(landings.pop(s)) for s in due) + len(inside)
-        early = [o for s in due for o in landings.pop(s)]
-        return early + [PendingOutcome(t + i, u, v, 1, d) for i in inside]
+        due = [s for s in landings if t < s < end]
+        if self.aggregated:  # an integer sum does not depend on the order
+            return sum([landings.pop(s) for s in due]) + inside
+        return [o for s in sorted(due) for o in landings.pop(s)] + inside
 
     def observe_new(self, t: int) -> list[PendingOutcome]:
         """Conversions landing exactly at step t, delivered once.
@@ -216,7 +226,7 @@ class DuelingEnvironment:
         if not self.aggregated:
             raise ModeMismatch("environment is not in aggregated mode")
         self._check_time(t)
-        return len(self._landings.pop(t, ()))
+        return self._landings.pop(t, 0)
 
     def _check_time(self, t: int) -> None:
         if t > self.t:

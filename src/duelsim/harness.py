@@ -87,8 +87,9 @@ def run_one(
     picks a pair, the environment draws the hidden outcome, and the true
     regret accumulates.  A policy with select_run (mrr-delay) may commit a
     run of n plays of one pair, at most the window M: the environment plays
-    them in one play_run call and the conversions landing inside the run
-    are fed once, at its last step.  Any other policy plays runs of one.
+    them in one play_run call, the conversions landing inside the run are
+    fed once, at its last step, and one sequential accumulate charges its
+    regret, bit for bit the per-step sums.  Other policies play step by step.
     policy_factory(matrix, rng) overrides the named policy (used for
     scripted policies in tests).
     """
@@ -131,24 +132,33 @@ def run_one(
         deliver, feed = env.observe_new, policy.observe
     select_run = getattr(policy, "select_run", None)
     select, step, play_run = policy.select, env.step, env.play_run
-    window = config.window
-    run_end = 1  # first step after the current run
-    for t in range(1, horizon + 1):
-        if t == run_end:
-            feed(t, deliver(t))
-            if select_run is None:
-                u, v = select(t)
-                step(u, v)
-                run_end += 1
-            else:
-                (u, v), n = select_run(t, min(window, horizon + 1 - t))
-                feed(t + n - 1, play_run(u, v, n))
-                run_end += n
-            gap = (gaps[u] + gaps[v]) / 2.0
-        cumulative += gap
-        if t % stride == 0 or t == horizon:
-            times.append(t)
-            regret.append(cumulative)
+    t = 1
+    while t <= horizon:
+        feed(t, deliver(t))
+        if select_run is None:
+            u, v = select(t)
+            step(u, v)
+            cumulative += (gaps[u] + gaps[v]) / 2.0
+            if t % stride == 0:
+                times.append(t)
+                regret.append(cumulative)
+            t += 1
+        else:
+            (u, v), n = select_run(t, min(config.window, horizon + 1 - t))
+            feed(t + n - 1, play_run(u, v, n))
+            # accumulate adds left to right, so sums[i] is the running sum
+            # after the run's i-th play, bit for bit the per-step chain
+            sums = np.full(n + 1, (gaps[u] + gaps[v]) / 2.0)
+            sums[0] = cumulative
+            np.add.accumulate(sums, out=sums)
+            first = -t % stride  # offset of the run's first multiple of stride
+            times.extend(range(t + first, t + n, stride))
+            regret.extend(sums[first + 1 :: stride].tolist())
+            cumulative = float(sums[n])
+            t += n
+    if horizon % stride:  # the trace always ends at T
+        times.append(horizon)
+        regret.append(cumulative)
     winner = policy.declared_winner() if hasattr(policy, "declared_winner") else None
     active = getattr(policy, "active_arms", None)
     return RunTrace(

@@ -225,8 +225,11 @@ class RrDbDelay:
 
     def _eliminate(self, t: int) -> None:
         log_term = math.log(self.k * t / self.delta)
-        with np.errstate(invalid="ignore"):  # 0 * inf where no data if K t / delta overflows
-            bounds = corrected_bounds(*self.est.matrices(t), 1.0, log_term).tolist()
+        if not math.isfinite(log_term):
+            raise ValueError(
+                f"delta {self.delta} too small: K*t/delta overflows for K={self.k}, t={t}"
+            )
+        bounds = corrected_bounds(*self.est.matrices(t), 1.0, log_term).tolist()
         self.active = _unbeaten(bounds, self.active, 0.0) or [
             _best_worst_case(bounds, self.active)
         ]

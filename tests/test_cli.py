@@ -194,6 +194,15 @@ class TestRunCommand:
         )
         assert code == 0, err
 
+    @pytest.mark.parametrize("spec", ["uniform:5", "det:1.5", "uniform:3,x", "geometric:abc"])
+    def test_malformed_delay_number_fails_cleanly(self, tmp_path, capsys, spec):
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "arithmetic", "--policy", "rucb-delay",
+            "--delay", spec, "--T", "100", "--runs", "1", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == f"duelsim: error: malformed delay spec {spec!r}\n"
+
     def test_bad_delay_spec(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--dataset", "arithmetic", "--policy", "rucb-delay",

@@ -130,6 +130,24 @@ def test_parse_delay_spec(tmp_path):
         parse_delay_spec("geometric")
 
 
+@pytest.mark.parametrize("spec", ["uniform:5", "det:1.5", "uniform:3,x", "geometric:abc"])
+def test_parse_delay_spec_malformed_number(spec):
+    with pytest.raises(ValueError, match=f"^malformed delay spec '{spec}'$"):
+        parse_delay_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("det:0", "deterministic delay must be an integer >= 1, got 0"),
+        ("geometric:nan", r"geometric parameter must be in \(0, 1\], got nan"),
+    ],
+)
+def test_parse_delay_spec_keeps_range_messages(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_delay_spec(spec)
+
+
 def test_mean_matches_samples():
     rng = np.random.default_rng(5)
     dist = geometric(0.2)

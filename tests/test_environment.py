@@ -187,6 +187,13 @@ class TestObservation:
             env.observe_new(5)
 
 
+def pending_wins(env):
+    """Undelivered wins: queued outcomes, or the queued counts when aggregated."""
+    if env.aggregated:
+        return sum(env._landings.values())
+    return sum(len(w) for w in env._landings.values())
+
+
 class TestDelivery:
     def _env(self, aggregated, delay=deterministic(2)):
         mu = np.full((2, 2), 0.5)
@@ -217,8 +224,18 @@ class TestDelivery:
         for t in range(1, 5001):
             observe(t)
             env.step(0, 1)
-            peak = max(peak, sum(len(w) for w in env._landings.values()))
+            peak = max(peak, pending_wins(env))
         assert peak == 100
+
+    @pytest.mark.parametrize("delay", [deterministic(3), geometric(0.5)])
+    def test_aggregated_counts_are_python_ints(self, delay):
+        env = self._env(aggregated=True, delay=delay)
+        counts = []
+        for t in range(1, 51):
+            counts.append(env.observe_aggregated(t))
+            env.step(0, 1)
+        assert all(type(c) is int for c in counts)
+        assert sum(counts) > 0
 
 
 class TestPlayRun:
@@ -273,7 +290,18 @@ class TestPlayRun:
         )
         inside = env.play_run(0, 1, 1000)
         assert [o.s for o in inside] == list(range(1, 901))  # land at 101..1000
-        assert sum(len(w) for w in env._landings.values()) == 100
+        assert pending_wins(env) == 100
+
+    def test_aggregated_long_run_returns_a_count(self):
+        mu = np.full((2, 2), 0.5)
+        mu[0, 1], mu[1, 0] = 1.0, 0.0  # every play wins
+        env = DuelingEnvironment(
+            validate_matrix(mu), deterministic(100), np.random.default_rng(0), aggregated=True
+        )
+        inside = env.play_run(0, 1, 1000)
+        assert type(inside) is int and inside == 900
+        assert pending_wins(env) == 100
+        assert env.observe_aggregated(1001) == 1
 
     @pytest.mark.parametrize("law", ["det:5", "geometric:0.2"])
     def test_validates_like_step(self, law):
@@ -383,6 +411,51 @@ class TestRegret:
             total += (gaps[u] + gaps[v]) / 2.0
             expected.append(total)
         assert self.regret_trace(pairs) == expected
+
+    @pytest.mark.parametrize("stride", [1, 7, 1000])
+    def test_runs_charge_the_exact_running_sum(self, stride):
+        # runs of up to 900 plays with gaps such as 0.0375, which no binary
+        # fraction equals: any reordering of the additions shows in the last bits
+        m = arithmetic_matrix(10)
+        rng = np.random.default_rng(1)
+        runs = [
+            ((int(rng.integers(10)), int(rng.integers(10))), int(rng.integers(1, 900)))
+            for _ in range(60)
+        ]
+
+        class ScriptedRuns:
+            def __init__(self):
+                self.queue = list(runs)
+
+            def select(self, t):
+                raise AssertionError("a run policy is asked for runs only")
+
+            def select_run(self, t, limit):
+                pair, n = self.queue.pop(0)
+                return PolicyAction(*pair), min(n, limit)
+
+            def observe(self, t, conversions):
+                pass
+
+        horizon = sum(n for _, n in runs) - 5  # the last run is cut at T
+        config = ExperimentConfig(
+            dataset="arithmetic", policy="mrr-delay", delay="det:1",
+            horizon=horizon, runs=1, window=1000, trace_stride=stride,
+        )
+        trace = run_one(config, 0, policy_factory=lambda m, rng: ScriptedRuns())
+        gaps = [float(x) - 0.5 for x in m.mu[m.winner]]
+        times, expected, total, t = [], [], 0.0, 0
+        for (u, v), n in runs:
+            for _ in range(n):
+                t += 1
+                if t > horizon:
+                    break
+                total += (gaps[u] + gaps[v]) / 2.0
+                if t % stride == 0 or t == horizon:
+                    times.append(t)
+                    expected.append(total)
+        assert trace.times.tolist() == times
+        assert trace.regret.tolist() == expected
 
     def test_gap_signs(self):
         m = arithmetic_matrix(10)

@@ -187,6 +187,10 @@ class TestMrrRuns:
     @given(mrr_cases())
     @example((steep_rows(5), "det:5", False, 20_000, 40, 50, 11))  # (0,) once round 4 ends
     @example((steep_rows(3), "det:40", True, 6000, 1000, 100, 2))  # uncapped runs
+    @example((steep_rows(4), "det:3", True, 3000, 60, 1, 5))  # a point after every play
+    @example((steep_rows(4), "geometric:0.3", False, 900, 60, 1000, 5))  # one point, at T
+    @example((steep_rows(3), "det:40", True, 6050, 1000, 100, 2))  # last run ends at T
+    @example((steep_rows(4), "det:3", False, 3000, 1, 50, 5))  # window 1: every run n = 1
     def test_matches_per_step_reference(self, table_spec, case):
         rows, law, aggregated, horizon, window, stride, seed = case
         matrix = validate_matrix(rows)

@@ -38,6 +38,14 @@ def test_every_error_type_is_raised():
     assert defined - raised == set()
 
 
+def test_no_errstate_in_src():
+    """Hot-path numpy must not raise floating-point warnings that need silencing:
+    masks keep invalid cells out, and inputs that overflow are rejected."""
+    package_dir = Path(duelsim.__file__).parent
+    users = [p.name for p in package_dir.rglob("*.py") if "errstate" in p.read_text("utf-8")]
+    assert users == []
+
+
 def test_bench_trace_targets_resolve():
     """Every method the bench tracer wraps still exists; install() skips a missing
     one silently, and its per-layer metric would then read 0."""

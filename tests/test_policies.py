@@ -18,6 +18,7 @@ from duelsim import (
     geometric,
     make_policy,
     run_many,
+    run_one,
     validate_matrix,
 )
 from duelsim.estimator import corrected_bounds
@@ -25,6 +26,7 @@ from duelsim.policies import _best_worst_case, _champion_pair, _unbeaten
 import reference_rules
 from reference_rucb import classical_rucb_actions, reference_champion_pair
 from test_estimator import DELAY_LAWS
+from test_harness import steep_rows
 
 
 def run_actions(matrix, delay, policy, horizon):
@@ -251,6 +253,22 @@ class TestRrDbDelay:
         pol = RrDbDelay(3, window=20, tau_table=geometric(0.5).tau_table(20), delta=0.01)
         actions = [pol.select(t) for t in range(1, 7)]
         assert [tuple(a) for a in actions] == [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
+
+    def test_delta_overflowing_log_term_rejected_when_built_directly(self):
+        # make_policy knows T and rejects such a delta up front; a directly
+        # built policy finds out at its first elimination
+        config = ExperimentConfig(
+            dataset="arithmetic", policy="rrdb-delay", delay="det:1", horizon=3000, window=40
+        )
+        matrix = validate_matrix(steep_rows(5))
+
+        def factory(delta):
+            tau = deterministic(1).tau_table(40)
+            return lambda matrix, rng: RrDbDelay(matrix.k, window=40, tau_table=tau, delta=delta)
+
+        assert run_one(config, 0, matrix=matrix, policy_factory=factory(0.01)).active == (0,)
+        with pytest.raises(ValueError, match=r"delta 1e-320 too small: K\*t/delta overflows"):
+            run_one(config, 0, matrix=matrix, policy_factory=factory(1e-320))
 
     def test_bound_formula_value(self):
         pol = RrDbDelay(10, window=5, tau_table=deterministic(1).tau_table(5), delta=0.001)
@@ -504,7 +522,8 @@ def rrdb_states(draw):
     """
     k = draw(st.integers(2, 6))
     m = draw(st.integers(1, 15))
-    delta = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    # below about 1e-300, K t / delta overflows and _eliminate raises
+    delta = draw(st.floats(1e-300, 1.0, exclude_max=True))
     pol = RrDbDelay(k, window=m, tau_table=draw(DELAY_LAWS).tau_table(m), delta=delta)
     arm = st.integers(0, k - 1)
     pool = draw(st.lists(st.tuples(arm, arm, st.booleans()), min_size=1, max_size=3))
@@ -550,8 +569,7 @@ class TestRrDbBounds:
             if i != j
         }
         log_term = math.log(pol.k * t / pol.delta)
-        with np.errstate(invalid="ignore"):  # as in _eliminate, for delta near 0
-            new = corrected_bounds(*pol.est.matrices(t), 1.0, log_term)
+        new = corrected_bounds(*pol.est.matrices(t), 1.0, log_term)
         assert {key: new[key] for key in old} == old
         pol._eliminate(t)
         assert pol.active == reference_rules.rrdb_survivors(old, active)
