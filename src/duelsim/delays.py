@@ -24,7 +24,8 @@ def _validate_positive_int(name: str, value: int) -> int:
 class DelayDistribution:
     """A discrete delay law: CDF, sampler and mean.
 
-    Samplers draw from the run's generator in a fixed order; the
+    sample(rng, n) draws n delays as one block: geometric and uniform with
+    one numpy call, a table with one searchsorted over rng.random(n).  The
     deterministic kind consumes no randomness at all, so traces stay
     aligned across delay configurations with the same action sequence.
     """
@@ -65,18 +66,16 @@ class DelayDistribution:
         m = _validate_positive_int("table length", m)
         return np.array([self.tau(d) for d in range(m + 1)], dtype=np.float64)
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n delays as an int64 array, drawn as one block from rng."""
         if self.kind == "geometric":
-            (p,) = self.params
-            return int(rng.geometric(p))
+            return rng.geometric(self.params[0], n)
         if self.kind == "deterministic":
-            return self.params[0]
+            return np.full(n, self.params[0], dtype=np.int64)
         if self.kind == "uniform":
             lo, hi = self.params
-            return int(rng.integers(lo, hi + 1))
-        cum = self._cum
-        assert cum is not None
-        return int(np.searchsorted(cum, rng.random(), side="right")) + 1
+            return rng.integers(lo, hi + 1, n)
+        return np.searchsorted(self._cum, rng.random(n), side="right") + 1
 
 def geometric(p: float) -> DelayDistribution:
     """Geometric delay on {1, 2, ...}: P(D = d) = p(1-p)^(d-1), mean 1/p."""
@@ -130,11 +129,11 @@ def parse_delay_spec(spec: str) -> DelayDistribution:
     kind, sep, arg = spec.partition(":")
     if not sep or not arg:
         raise ValueError(f"malformed delay spec {spec!r}")
-    def number(text: str, parse=int):
+    def number(text: str, parse=int, where: str = ""):
         try:
             return parse(text)
         except ValueError:
-            raise ValueError(f"malformed delay spec {spec!r}") from None
+            raise ValueError(f"malformed delay spec {spec!r}{where}") from None
 
     if kind == "geometric":
         return geometric(number(arg, float))
@@ -145,6 +144,6 @@ def parse_delay_spec(spec: str) -> DelayDistribution:
         return uniform_delay(number(lo), number(hi))
     if kind == "table":
         with open(arg, "r", encoding="utf-8") as fh:
-            probs = [float(line) for line in fh if line.strip()]
-        return from_table(probs)
+            lines = [(no, line) for no, line in enumerate(fh, start=1) if line.strip()]
+        return from_table([number(line, float, f" (line {no})") for no, line in lines])
     raise ValueError(f"unknown delay kind {kind!r}")

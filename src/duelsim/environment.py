@@ -10,18 +10,23 @@ Protocol per step t:
 Losses never "arrive": only conversions are ever announced, which is what
 biases naive statistics toward the second arm of each pair.
 
+Draw contract: the one generator is read in chunks of DRAW_CHUNK plays,
+each drawn at its first play: rng.random(DRAW_CHUNK) outcome uniforms, then
+delay.sample(rng, DRAW_CHUNK) delays, for wins and losses alike.  Play t
+uses element (t-1) % DRAW_CHUNK of chunk (t-1) // DRAW_CHUNK, so a trace
+depends on the plays alone, not on how step and play_run split them.
+
 The environment keeps only the wins that have not been delivered yet,
 keyed by landing step, so its storage is O(pending wins), not O(t).  Each
 step's conversions are handed out once: observing step t removes them.
 The full censored view Y_{s,t} is the running union of those deliveries.
-Each play's hidden truth is a PendingOutcome, an immutable NamedTuple.
 Aggregated mode hands out counts only, so it queues a Counter of landing
-steps.  play_run(u, v, n) plays one pair n times with the draws of n
-steps and hands out the conversions landing inside the run at once.
+steps.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,6 +42,7 @@ from .errors import (
 )
 
 COMPLEMENT_TOL = 1e-6
+DRAW_CHUNK = 4096  # plays per block of outcome and delay draws
 
 
 @dataclass(frozen=True)
@@ -78,22 +84,14 @@ def validate_matrix(raw) -> PreferenceMatrix:
         i, j = np.argwhere(outside)[0]
         raise ValueError(f"entry ({i}, {j}) = {mu[i, j]} outside [0, 1]")
 
-    for i in range(k):
-        for j in range(i, k):
-            err = abs(mu[i, j] + mu[j, i] - 1.0)
-            if err > COMPLEMENT_TOL:
-                raise ComplementViolation(
-                    f"mu[{i},{j}] + mu[{j},{i}] = {mu[i, j] + mu[j, i]:.9f} != 1"
-                )
-    fixed = np.empty_like(mu)
-    for i in range(k):
-        fixed[i, i] = 0.5
-        for j in range(i + 1, k):
-            fixed[i, j] = mu[i, j]
-            fixed[j, i] = 1.0 - mu[i, j]
+    violations = np.argwhere(np.abs(mu + mu.T - 1.0) > COMPLEMENT_TOL)
+    if violations.size:  # in row-major order the first one has i <= j
+        i, j = violations[0]
+        raise ComplementViolation(f"mu[{i},{j}] + mu[{j},{i}] = {mu[i, j] + mu[j, i]:.9f} != 1")
+    fixed = np.where(np.tri(k, k, -1, dtype=bool), 1.0 - mu.T, mu)  # lower from upper
+    np.fill_diagonal(fixed, 0.5)
 
-    off_diag = ~np.eye(k, dtype=bool)
-    dominant = np.flatnonzero([np.all(fixed[i][off_diag[i]] > 0.5) for i in range(k)])
+    dominant = np.flatnonzero(np.all((fixed > 0.5) | np.eye(k, dtype=bool), axis=1))
     if dominant.size != 1:
         raise NoCondorcetWinner(
             f"{dominant.size} rows dominate all others; expected exactly 1"
@@ -118,9 +116,9 @@ class PendingOutcome(NamedTuple):
 class DuelingEnvironment:
     """Single-run environment: outcome sampling, delays, conversion delivery.
 
-    Per step exactly one uniform draw decides the outcome, then the delay
-    is sampled (deterministic delays consume no randomness).  Instances
-    are single-threaded; run replications in separate instances.
+    Play t wins iff its outcome uniform is below mu[u, v] (draws: see the
+    module docstring).  Instances are single-threaded; run replications in
+    separate instances.
     """
 
     def __init__(
@@ -143,17 +141,30 @@ class DuelingEnvironment:
         # undelivered wins by landing step: the outcomes, or their count if aggregated
         self._landings: dict[int, list[PendingOutcome]] | Counter[int]
         self._landings = Counter() if aggregated else {}
+        self._start = 1 - DRAW_CHUNK  # first step of the drawn chunk; none drawn yet
+        self._uniforms = self._delays = np.empty(0, dtype=np.int64)  # int64 keeps delays integral
+        self._lists: tuple[list[float], list[int]] | None = None  # step's copy of the chunk
+
+    def _draw_chunk(self) -> None:
+        self._start += DRAW_CHUNK
+        self._uniforms = self._delays = self._lists = None  # one chunk in memory at a time
+        self._uniforms = self.rng.random(DRAW_CHUNK)
+        self._delays = self.delay.sample(self.rng, DRAW_CHUNK)
 
     def step(self, u: int, v: int) -> PendingOutcome:
         """Play (u, v) at the current step and advance time by one."""
-        k = self.k
-        if not (0 <= u < k and 0 <= v < k):
-            raise ValueError(f"arm pair ({u}, {v}) out of range for k={k}")
+        if not (0 <= u < self.k and 0 <= v < self.k):
+            raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
         t = self.t
         if self.horizon is not None and t > self.horizon:
             raise HorizonExceeded(f"step {t} past horizon {self.horizon}")
-        x = 1 if self.rng.random() < self._mu[u][v] else 0
-        d = self.delay.sample(self.rng)
+        if t - self._start == DRAW_CHUNK:
+            self._draw_chunk()
+        if self._lists is None:  # one Python float read per step, no numpy scalar
+            self._lists = (self._uniforms.tolist(), self._delays.tolist())
+        i = t - self._start
+        x = 1 if self._lists[0][i] < self._mu[u][v] else 0
+        d = self._lists[1][i]
         out = PendingOutcome(t, u, v, x, d)
         if x == 1:
             if self.aggregated:
@@ -164,51 +175,49 @@ class DuelingEnvironment:
         return out
 
     def play_run(self, u: int, v: int, n: int) -> list[PendingOutcome] | int:
-        """Play (u, v) at steps t..t+n-1 with exactly the draws of n step calls.
+        """Play (u, v) at steps t..t+n-1, the same plays as n step calls.
 
         Returns the conversions landing strictly inside the run, at steps
-        t+1..t+n-1: what observe_new (a list) or observe_aggregated (a
-        count) would have delivered over those steps.  Later wins stay
-        queued.  Under a deterministic delay, which draws nothing, the n
-        outcomes come from one rng.random(n) block, the same doubles as n
-        scalar draws; every other law steps once per play.
+        t+1..t+n-1, in the order observe_new (a list, by landing step, then
+        by play step) or observe_aggregated (a count) would have delivered
+        them over those steps.  Later wins stay queued.
         """
         t = self.t
         end = t + n
-        k = self.k
         if n < 1:
             raise ValueError(f"run length must be >= 1, got {n}")
-        if not (0 <= u < k and 0 <= v < k):
-            raise ValueError(f"arm pair ({u}, {v}) out of range for k={k}")
+        if not (0 <= u < self.k and 0 <= v < self.k):
+            raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
         if self.horizon is not None and end - 1 > self.horizon:
-            raise HorizonExceeded(
-                f"step {max(t, self.horizon + 1)} past horizon {self.horizon}"
-            )
+            raise HorizonExceeded(f"step {max(t, self.horizon + 1)} past horizon {self.horizon}")
+        i = t - self._start
+        uniforms, delays = self._uniforms[i : i + n], self._delays[i : i + n]
+        while uniforms.size < n:  # the run goes on into the next chunk
+            self._draw_chunk()
+            rest = n - uniforms.size
+            uniforms = np.concatenate((uniforms, self._uniforms[:rest]))
+            delays = np.concatenate((delays, self._delays[:rest]))
+        wins = (uniforms < self._mu[u][v]).nonzero()[0]  # steps after t
+        win_delays = delays[wins]
+        lands = wins + win_delays  # landing steps, less t
+        self.t = end
         landings = self._landings
-        inside = 0 if self.aggregated else []  # the block's own wins landing in the run
-        if self.delay.kind == "deterministic":
-            d = self.delay.params[0]
-            wins = self.rng.random(n) < self._mu[u][v]
-            split = max(n - d, 0)  # plays before t + split land inside the run
-            late = np.flatnonzero(wins[split:]) + (t + split)
-            if self.aggregated:
-                landings.update((late + d).tolist())
-                inside = int(np.count_nonzero(wins[:split]))
-            else:
-                for s in late.tolist():
-                    landings.setdefault(s + d, []).append(PendingOutcome(s, u, v, 1, d))
-                early = (np.flatnonzero(wins[:split]) + t).tolist()
-                inside = [PendingOutcome(s, u, v, 1, d) for s in early]
-            self.t = end
-        else:
-            for _ in range(n):
-                self.step(u, v)
-        # queued wins landing inside the run; under a deterministic delay all
-        # of them were played before t, so they land before the block's own
-        due = [s for s in landings if t < s < end]
+        # queued wins landing inside the run, all played before t
+        due = [landings.pop(s) for s in [s for s in landings if t < s < end]]
         if self.aggregated:  # an integer sum does not depend on the order
-            return sum([landings.pop(s) for s in due]) + inside
-        return [o for s in sorted(due) for o in landings.pop(s)] + inside
+            late = lands[lands >= n]
+            landings.update((late + t).tolist())
+            return sum(due) + wins.size - late.size
+        inside = int(np.count_nonzero(lands < n))
+        order = np.argsort(lands, kind="stable")  # by landing step, then play step
+        plays, win_delays = (wins[order] + t).tolist(), win_delays[order].tolist()
+        del uniforms, delays, wins, lands, order  # peak memory: the outcomes, not these arrays
+        outs = [PendingOutcome(s, u, v, 1, d) for s, d in zip(plays, win_delays)]
+        for o in outs[inside:]:
+            landings.setdefault(o.s + o.d, []).append(o)
+        # at each landing step the queued wins come before the run's own, as
+        # observe_new delivers them; merge keeps the earlier input first on ties
+        return list(heapq.merge(*due, outs[:inside], key=lambda o: o.s + o.d))
 
     def observe_new(self, t: int) -> list[PendingOutcome]:
         """Conversions landing exactly at step t, delivered once.

@@ -124,8 +124,7 @@ def run_one(
     cumulative = 0.0
     stride = config.trace_stride
     horizon = config.horizon
-    times: list[int] = []
-    regret: list[float] = []
+    regret: list[float] = []  # at steps stride, 2*stride, ..., and T
     if config.aggregated:
         deliver, feed = env.observe_aggregated, policy.observe_count
     else:
@@ -140,7 +139,6 @@ def run_one(
             step(u, v)
             cumulative += (gaps[u] + gaps[v]) / 2.0
             if t % stride == 0:
-                times.append(t)
                 regret.append(cumulative)
             t += 1
         else:
@@ -152,18 +150,18 @@ def run_one(
             sums[0] = cumulative
             np.add.accumulate(sums, out=sums)
             first = -t % stride  # offset of the run's first multiple of stride
-            times.extend(range(t + first, t + n, stride))
             regret.extend(sums[first + 1 :: stride].tolist())
             cumulative = float(sums[n])
             t += n
     if horizon % stride:  # the trace always ends at T
-        times.append(horizon)
         regret.append(cumulative)
+    times = np.arange(stride, horizon + stride, stride, dtype=np.int64)
+    times[-1] = horizon
     winner = policy.declared_winner() if hasattr(policy, "declared_winner") else None
     active = getattr(policy, "active_arms", None)
     return RunTrace(
         seed=seed,
-        times=np.asarray(times, dtype=np.int64),
+        times=times,
         regret=np.asarray(regret, dtype=np.float64),
         winner=winner,
         active=active,

@@ -158,14 +158,8 @@ class RucbBaseline:
         self._unobserved: tuple[int, int, int] | None = None  # (s, u, v)
 
     def _ucb_matrix(self, t: int) -> np.ndarray:
-        n = self.wins + self.wins.T
-        # no-data pairs divide by 1 instead of 0 and are overwritten below
-        empty = n == 0.0
-        n = n + empty
-        u = self.wins / n + np.sqrt(self.alpha * math.log(t) / n)
-        u[empty] = 1.0
-        u.ravel()[:: self.k + 1] = 0.5
-        return u
+        n = self.wins + self.wins.T  # undiscounted: N and Ntilde coincide
+        return corrected_bounds(n, n, self.wins, self.alpha, math.log(t))
 
     def select(self, t: int) -> PolicyAction:
         u, v, self.best = _champion_pair(self._ucb_matrix(t), self.best, self.rng)
@@ -230,14 +224,14 @@ class RrDbDelay:
                 f"delta {self.delta} too small: K*t/delta overflows for K={self.k}, t={t}"
             )
         bounds = corrected_bounds(*self.est.matrices(t), 1.0, log_term).tolist()
-        self.active = _unbeaten(bounds, self.active, 0.0) or [
-            _best_worst_case(bounds, self.active)
-        ]
+        active = _unbeaten(bounds, self.active, 0.0) or [_best_worst_case(bounds, self.active)]
+        if len(active) < len(self.active):  # the sweep changes only when an arm drops
+            self.active = active
+            self._sweep = self._build_sweep()
 
     def select(self, t: int) -> PolicyAction:
         if len(self.active) > 1 and self._pos == len(self._sweep):
             self._eliminate(t)
-            self._sweep = self._build_sweep()
             self._pos = 0
         if len(self.active) == 1:
             w = self.active[0]

@@ -65,10 +65,12 @@ def best_worst_case_lcb(ucb):
 
 
 def baseline_ucb_matrix(wins, alpha, t):
-    """RucbBaseline._ucb_matrix under np.errstate."""
+    """RucbBaseline._ucb_matrix under np.errstate: the classical bound
+    wins/n + sqrt(alpha log t / n), in corrected_bounds' operation order
+    with N = Ntilde = n."""
     n = wins + wins.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = wins / n + np.sqrt(alpha * math.log(t) / n)
+        u = wins / n + np.sqrt(alpha * n * math.log(t) / (n * n))
     u[n == 0.0] = 1.0
     np.fill_diagonal(u, 0.5)
     return u

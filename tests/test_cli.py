@@ -203,6 +203,17 @@ class TestRunCommand:
         assert code == 2
         assert err == f"duelsim: error: malformed delay spec {spec!r}\n"
 
+    def test_table_delay_with_a_non_number_line_fails_cleanly(self, tmp_path, capsys):
+        table = tmp_path / "bad.txt"
+        table.write_text("0.5\nx\n")
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "arithmetic", "--policy", "rucb-delay",
+            "--delay", f"table:{table}", "--T", "100", "--runs", "1",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == f"duelsim: error: malformed delay spec 'table:{table}' (line 2)\n"
+
     def test_bad_delay_spec(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "run", "--dataset", "arithmetic", "--policy", "rucb-delay",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def _chi2_fit(dist, bins, n=20000, seed=7):
     bins is a list of delay sets; the last one catches everything beyond.
     """
     rng = np.random.default_rng(seed)
-    draws = np.array([dist.sample(rng) for _ in range(n)])
+    draws = dist.sample(rng, n)
     assert np.all(draws >= 1)
     stat = 0.0
     covered = 0.0
@@ -88,7 +89,7 @@ def test_geometric_sampler_matches_cdf():
 def test_uniform_sampler_matches_cdf():
     dist = uniform_delay(1, 5)
     rng = np.random.default_rng(11)
-    draws = np.array([dist.sample(rng) for _ in range(20000)])
+    draws = dist.sample(rng, 20000)
     stat = 0.0
     for d in range(1, 6):
         p = 0.2
@@ -100,7 +101,7 @@ def test_uniform_sampler_matches_cdf():
 def test_table_sampler_matches_cdf():
     dist = from_table([0.2, 0.3, 0.5])
     rng = np.random.default_rng(13)
-    draws = np.array([dist.sample(rng) for _ in range(20000)])
+    draws = dist.sample(rng, 20000)
     stat = 0.0
     for d, p in ((1, 0.2), (2, 0.3), (3, 0.5)):
         obs = (draws == d).sum()
@@ -112,7 +113,8 @@ def test_deterministic_sampler_consumes_no_randomness():
     dist = deterministic(4)
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state["state"]["state"]
-    assert dist.sample(rng) == 4
+    draws = dist.sample(rng, 5)
+    assert draws.dtype == np.int64 and draws.tolist() == [4] * 5
     assert rng.bit_generator.state["state"]["state"] == before
 
 
@@ -136,6 +138,15 @@ def test_parse_delay_spec_malformed_number(spec):
         parse_delay_spec(spec)
 
 
+def test_table_file_with_a_non_number_line_names_the_line(tmp_path):
+    table = tmp_path / "bad.txt"
+    table.write_text("0.5\n\nx\n")
+    spec = f"table:{table}"
+    message = re.escape(f"malformed delay spec '{spec}' (line 3)")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_delay_spec(spec)
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [
@@ -151,5 +162,5 @@ def test_parse_delay_spec_keeps_range_messages(spec, message):
 def test_mean_matches_samples():
     rng = np.random.default_rng(5)
     dist = geometric(0.2)
-    draws = [dist.sample(rng) for _ in range(20000)]
+    draws = dist.sample(rng, 20000)
     assert np.mean(draws) == pytest.approx(dist.mean, rel=0.05)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duelsim import (
     DuelingEnvironment,
@@ -13,6 +15,7 @@ from duelsim import (
     uniform_delay,
     validate_matrix,
 )
+from duelsim.environment import DRAW_CHUNK
 from duelsim.errors import (
     ComplementViolation,
     HorizonExceeded,
@@ -239,7 +242,8 @@ class TestDelivery:
 
 
 class TestPlayRun:
-    """play_run(u, v, n) against n step calls on a twin environment."""
+    """play_run(u, v, n) against n step calls on a twin environment; the
+    longest run spans two draw chunks."""
 
     LAWS = {
         "det:1": deterministic(1),
@@ -261,7 +265,7 @@ class TestPlayRun:
 
     @pytest.mark.parametrize("aggregated", [False, True])
     @pytest.mark.parametrize("law", list(LAWS))
-    @pytest.mark.parametrize("n", [1, 3, 250])
+    @pytest.mark.parametrize("n", [1, 3, 250, DRAW_CHUNK + 7])
     def test_matches_step_calls(self, law, aggregated, n):
         run_env, step_env = self._twins(self.LAWS[law], aggregated)
         for env in (run_env, step_env):
@@ -318,6 +322,83 @@ class TestPlayRun:
         assert env.t == 9  # the whole run is refused before any draw
 
 
+SPLIT_LAWS = {
+    "det:5": deterministic(5),
+    "geometric:0.05": geometric(0.05),
+    "uniform:2,9": uniform_delay(2, 9),
+    "table": from_table([0.1, 0.0, 0.5, 0.4]),
+}
+
+
+@st.composite
+def play_splits(draw):
+    """More than DRAW_CHUNK plays cut into segments (n, u, v, by_step), some
+    cuts on or next to the chunk boundary; by_step segments call step."""
+    total = DRAW_CHUNK + draw(st.integers(1, DRAW_CHUNK // 2))
+    near_boundary = st.sampled_from([DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1])
+    cuts = draw(st.sets(st.one_of(st.integers(1, total - 1), near_boundary), max_size=10))
+    bounds = [0, *sorted(c for c in cuts if c < total), total]
+    pair = st.integers(0, 3)
+    return [
+        (b - a, draw(pair), draw(pair), draw(st.booleans())) for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+class TestDrawContract:
+    """A trace depends on the sequence of plays only, not on how step and
+    play_run split it."""
+
+    @pytest.mark.parametrize("aggregated", [False, True])
+    @pytest.mark.parametrize("law", list(SPLIT_LAWS))
+    @settings(max_examples=12, deadline=None)
+    @given(segments=play_splits())
+    def test_any_split_gives_the_per_step_trace(self, law, aggregated, segments):
+        ref, env = (
+            DuelingEnvironment(
+                arithmetic_matrix(4), SPLIT_LAWS[law], np.random.default_rng(7),
+                aggregated=aggregated,
+            )
+            for _ in range(2)
+        )
+        ref_observe, observe = (
+            e.observe_aggregated if aggregated else e.observe_new for e in (ref, env)
+        )
+        for n, u, v, by_step in segments:
+            t = env.t
+            assert observe(t) == ref_observe(t)
+            want, seen = [ref.step(u, v)], []
+            for s in range(t + 1, t + n):
+                seen.append(ref_observe(s))
+                want.append(ref.step(u, v))
+            if by_step:
+                got, got_seen = [env.step(u, v)], []
+                for s in range(t + 1, t + n):
+                    got_seen.append(observe(s))
+                    got.append(env.step(u, v))
+                assert (got, got_seen) == (want, seen)
+            else:
+                delivered = sum(seen) if aggregated else [o for outs in seen for o in outs]
+                assert env.play_run(u, v, n) == delivered
+        assert env.t == ref.t
+        assert env._landings == ref._landings
+        assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_chunk_layout(self):
+        # the first chunk is drawn at the first play, not at construction
+        p = 0.05
+        env = DuelingEnvironment(arithmetic_matrix(4), geometric(p), np.random.default_rng(5))
+        ref = np.random.default_rng(5)
+        assert env.rng.bit_generator.state == ref.bit_generator.state
+        mu = env.matrix.mu
+        for _ in range(2):
+            uniforms, delays = ref.random(DRAW_CHUNK), ref.geometric(p, DRAW_CHUNK)
+            for i in range(DRAW_CHUNK):
+                u, v = i % 4, i // 4 % 4
+                out = env.step(u, v)
+                assert (out.x, out.d) == (int(uniforms[i] < mu[u, v]), delays[i])
+            assert env.rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestAggregatedMode:
     def _env(self, seed=0):
         return DuelingEnvironment(
@@ -355,8 +436,8 @@ class TestAggregatedMode:
             def __init__(self):
                 self.queue = [2, 1]
 
-            def sample(self, rng):
-                return self.queue.pop(0)
+            def sample(self, rng, n):
+                return np.array(self.queue + [1] * (n - len(self.queue)))
 
         mu = np.full((2, 2), 0.5)
         mu[0, 1], mu[1, 0] = 1.0, 0.0

@@ -528,7 +528,7 @@ class TestUcbMatrix:
                 self.assert_same_bounds(est, tq, 1.0)
             u, v = int(rng.integers(k)), int(rng.integers(k))
             if rng.random() < 0.5:
-                d = dist.sample(rng)
+                d = int(dist.sample(rng, 1)[0])
                 if d <= m:
                     pending.setdefault(t + d, []).append((t, u, v))
             est.record_play(u, v, t)
@@ -588,7 +588,7 @@ class TestWeightView:
                     assert np.array_equal(got, errstate_ucb_matrix(est, tq, 1.5, want))
             u, v = int(rng.integers(k)), int(rng.integers(k))
             if rng.random() < 0.6:
-                d = dist.sample(rng)
+                d = int(dist.sample(rng, 1)[0])
                 if d <= m:
                     pending.setdefault(t + d, []).append((t, u, v))
             est.record_play(u, v, t)

@@ -6,6 +6,11 @@ policies, environment, harness) must leave every digest unchanged; a
 deliberate change of the draw order or of the statistics' floating-point
 arithmetic re-pins them and says so in CHANGES.md.
 
+The environment draws its outcomes and delays in fixed chunks of plays
+(see environment.py), so a digest depends on the plays alone, not on how
+the harness splits them into step and play_run calls.  Under det no delay
+is drawn, so the det cases also equal the one-uniform-per-play stream.
+
 The digests depend on numpy's Generator streams and float formatting, so
 a numpy release that changes either would also move them.
 """
@@ -28,13 +33,13 @@ GOLDEN = {
         "f1af3d9c080d5c7b8d2bceb8105b382ba113839d041b363836e7d29da13051aa"
     ),
     ("rucb-delay", "geometric:0.1", False): (
-        "15613c065ad8d95fd0e554710209a83be0d9697517a971ce65ac523dac398416"
+        "037d18b2c70cbce0507a990dfcfeea5c21284470195d1e16bfebd7f8eb06253a"
     ),
     ("rrdb-delay", "det:1", False): (
         "e60b6a7e98e4451cf39f55fe57fa02ec6313789a8275f5effaed837cd58bc77c"
     ),
     ("rrdb-delay", "geometric:0.1", False): (
-        "aeb936a4079c72f0a977fc13f8728fdbd7603b2652fa4ae34a108e05ab883698"
+        "7ae7454e7e0486009dc398b183a91d1dab9dc80495a55992865d884aeeb31b46"
     ),
     ("mrr-delay", "det:1", False): (
         "515d99500fed95ef2fd476d2d3292e8e2cccff8b4fa6a64586964b3f3378fb81"
@@ -46,7 +51,7 @@ GOLDEN = {
         "f1af3d9c080d5c7b8d2bceb8105b382ba113839d041b363836e7d29da13051aa"
     ),
     ("rucb-baseline", "geometric:0.1", False): (
-        "30b20ca5733569ebaead22898935b630460680f964a69a911c232bcfb6eb3a1e"
+        "90dac9a7a2b8ab3a17e953e1f0ae5e19d6e7f15992bd6b709275429265b6592a"
     ),
     ("mrr-delay", "det:1", True): (
         "e568b9a44657970eac19e2b0f84e7332d9bc61856698cd1846c314f2d8cff7fe"

@@ -254,6 +254,18 @@ class TestRrDbDelay:
         actions = [pol.select(t) for t in range(1, 7)]
         assert [tuple(a) for a in actions] == [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
 
+    def test_check_that_drops_no_arm_keeps_the_sweep(self):
+        # one play per ordering and no conversions: every bound is far above
+        # 1/2, so the check after the first sweep drops nobody and the next
+        # sweep reuses the same pair list
+        pol = RrDbDelay(3, window=20, tau_table=geometric(0.5).tau_table(20), delta=0.01)
+        sweep = pol._sweep
+        first = [tuple(pol.select(t)) for t in range(1, 7)]
+        second = [tuple(pol.select(t)) for t in range(7, 13)]
+        assert pol.active == [0, 1, 2]
+        assert pol._sweep is sweep and pol._sweep == pol._build_sweep()
+        assert second == first
+
     def test_delta_overflowing_log_term_rejected_when_built_directly(self):
         # make_policy knows T and rejects such a delta up front; a directly
         # built policy finds out at its first elimination
