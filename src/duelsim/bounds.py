@@ -50,9 +50,22 @@ def c_delta(alpha: float, m_window: int, k: int, delta: float) -> float:
     )
 
 
-def _ceil(x: float) -> int:
+def _round_terms(m: int, t_horizon: int, mean_delay: float) -> tuple[float, float]:
+    """gamma_m = 2^-m and log(T gamma_m^2), floored at 0, for valid inputs."""
+    if m < 1:
+        raise ValueError(f"round index must be >= 1, got {m}")
+    if not 0.0 <= mean_delay < math.inf:
+        raise ValueError(f"mean delay must be finite and >= 0, got {mean_delay}")
+    g = 2.0**-m
+    return g, max(math.log(t_horizon * g * g), 0.0)
+
+
+def _play_target(x: float, m: int, mean_delay: float) -> int:
+    """ceil(x), at least 1 play; x must be finite."""
+    if not math.isfinite(x):
+        raise ValueError(f"round {m} play target overflows for mean delay {mean_delay}")
     # guard against float noise pushing algebraically-integer values up a notch
-    return math.ceil(x - 1e-9)
+    return max(1, math.ceil(x - 1e-9))
 
 
 def _pair_min_gaps(gaps: tuple[float, ...]):
@@ -102,29 +115,23 @@ def n_schedule(m: int, t_horizon: int, mean_delay: float) -> int:
     which covers small horizons.  Raw formula value (no cross-round
     monotonicity), clamped below at 1 play.
     """
-    if m < 1:
-        raise ValueError(f"round index must be >= 1, got {m}")
-    g = 2.0**-m
-    loga = max(math.log(t_horizon * g * g), 0.0)
+    g, loga = _round_terms(m, t_horizon, mean_delay)
     root = math.sqrt(loga / 2) + math.sqrt(
         loga / 2
         + (4 / 3) * g * loga
         + 2 * g * math.sqrt(2 * mean_delay * loga)
         + 2 * g * mean_delay
     )
-    return max(1, _ceil(root * root / (g * g)))
+    return _play_target(root * root / (g * g), m, mean_delay)
 
 
 def n_schedule_aggregated(m: int, t_horizon: int, mean_delay: float) -> int:
     """Round-m play target when feedback is aggregated and anonymous."""
-    if m < 1:
-        raise ValueError(f"round index must be >= 1, got {m}")
-    g = 2.0**-m
-    loga = max(math.log(t_horizon * g * g), 0.0)
+    g, loga = _round_terms(m, t_horizon, mean_delay)
     root = math.sqrt(2 * loga) + math.sqrt(
         2 * loga + (8 / 3) * g * loga + 6 * g * m * mean_delay
     )
-    return max(1, _ceil(root * root / (g * g)))
+    return _play_target(root * root / (g * g), m, mean_delay)
 
 
 def mrr_expected_bound(inputs: BoundInputs) -> float:

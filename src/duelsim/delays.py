@@ -13,10 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_DELAY = 2**62  # longest delay: s + d stays within int64 for every step s < 2**62
+
 
 def _validate_positive_int(name: str, value: int) -> int:
     if not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if value > MAX_DELAY:
+        raise ValueError(f"{name} must be at most 2**62, got {value!r}")
     return int(value)
 
 
@@ -25,7 +29,9 @@ class DelayDistribution:
     """A discrete delay law: CDF, sampler and mean.
 
     sample(rng, n) draws n delays as one block: geometric and uniform with
-    one numpy call, a table with one searchsorted over rng.random(n).  The
+    one numpy call, a table with one searchsorted over rng.random(n).  No
+    delay exceeds MAX_DELAY: geometric draws are clipped to it (numpy
+    returns the int64 maximum for tiny p), and such a delay never lands.  The
     deterministic kind consumes no randomness at all, so traces stay
     aligned across delay configurations with the same action sequence.
     """
@@ -69,7 +75,8 @@ class DelayDistribution:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n delays as an int64 array, drawn as one block from rng."""
         if self.kind == "geometric":
-            return rng.geometric(self.params[0], n)
+            delays = rng.geometric(self.params[0], n)
+            return np.minimum(delays, MAX_DELAY, out=delays)
         if self.kind == "deterministic":
             return np.full(n, self.params[0], dtype=np.int64)
         if self.kind == "uniform":
@@ -81,6 +88,8 @@ def geometric(p: float) -> DelayDistribution:
     """Geometric delay on {1, 2, ...}: P(D = d) = p(1-p)^(d-1), mean 1/p."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"geometric parameter must be in (0, 1], got {p}")
+    if math.isinf(1.0 / p):
+        raise ValueError(f"geometric parameter {p} too small: its mean 1/p overflows")
     return DelayDistribution("geometric", (float(p),), 1.0 / p)
 
 

@@ -8,8 +8,8 @@ for bit and invariant to how the other replications are scheduled.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -169,25 +169,22 @@ def run_one(
 
 
 def run_many(config: ExperimentConfig, *, policy_factory=None) -> AggregateResult:
-    """All replications with pointwise mean and sample standard deviation."""
+    """All replications with pointwise mean and sample standard deviation;
+    each seed gets the same run_one call in-process and in the worker pool."""
     if config.workers > 1 and policy_factory is not None:
         raise ValueError("policy_factory runs in-process only; set workers=1")
-    seeds = [config.base_seed + r for r in range(config.runs)]
+    seeds = range(config.base_seed, config.base_seed + config.runs)
+    matrix = datasets.resolve(config.dataset)  # once, for every replication
+    replicate = partial(run_one, config, matrix=matrix, policy_factory=policy_factory)
     if config.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costly import: pool path only
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            traces = list(pool.map(run_one, [config] * len(seeds), seeds))
+            traces = list(pool.map(replicate, seeds))
     else:
-        matrix = datasets.resolve(config.dataset)
-        traces = [
-            run_one(config, seed, matrix=matrix, policy_factory=policy_factory)
-            for seed in seeds
-        ]
+        traces = list(map(replicate, seeds))
     stack = np.vstack([tr.regret for tr in traces])
     mean = stack.mean(axis=0)
-    if config.runs > 1:
-        std = stack.std(axis=0, ddof=1)
-    else:
-        std = np.zeros_like(mean)
+    std = stack.std(axis=0, ddof=1) if config.runs > 1 else np.zeros_like(mean)
     return AggregateResult(times=traces[0].times, mean=mean, std=std, runs=traces)
 
 

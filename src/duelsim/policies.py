@@ -104,7 +104,7 @@ class RucbDelay:
         tau_table: np.ndarray,
         rng: np.random.Generator,
     ):
-        if not alpha >= 1.0:
+        if not 1.0 <= alpha < math.inf:
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         self.k = k
         self.alpha = alpha
@@ -147,7 +147,7 @@ class RucbBaseline:
     name = "rucb-baseline"
 
     def __init__(self, k: int, *, alpha: float, rng: np.random.Generator):
-        if not alpha > 0.5:
+        if not 0.5 < alpha < math.inf:
             raise ValueError(f"alpha must exceed 1/2, got {alpha}")
         self.k = k
         self.alpha = alpha

@@ -135,6 +135,18 @@ class TestNSchedule:
         with pytest.raises(ValueError):
             n_schedule(0, 1000, 1.0)
 
+    @pytest.mark.parametrize("schedule", [n_schedule, n_schedule_aggregated])
+    @pytest.mark.parametrize("mean", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_mean_delay_rejected(self, schedule, mean):
+        with pytest.raises(ValueError, match=f"^mean delay must be finite and >= 0, got {mean}$"):
+            schedule(1, 200000, mean)
+
+    @pytest.mark.parametrize("schedule", [n_schedule, n_schedule_aggregated])
+    def test_overflowing_play_target_rejected(self, schedule):
+        # 1/p of geometric:1e-308 is finite, but the round's target is not
+        with pytest.raises(ValueError, match="^round 1 play target overflows for mean delay"):
+            schedule(1, 200000, 1e308)
+
 
 class TestNScheduleAggregated:
     def test_pinned_value(self):

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from duelsim import policies
+from duelsim import BoundInputs, ExperimentConfig, cli, policies, rucb_delay_expected_bound
 from duelsim.cli import build_parser, main
+from duelsim.harness import AggregateResult
 
 
 def run_cli(capsys, *argv):
@@ -30,6 +32,65 @@ class TestRunParser:
         for name in policies.policy_names():
             args = parser.parse_args(["run", "--dataset", "arithmetic", "--policy", name])
             assert args.policy == name
+
+
+class TestRunConfig:
+    """run passes its flags straight into ExperimentConfig."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        configs = []
+
+        def fake_run_many(config):
+            configs.append(config)
+            one = np.zeros(1)
+            return AggregateResult(times=one, mean=one, std=one, runs=[])
+
+        monkeypatch.setattr(cli, "run_many", fake_run_many)
+        return configs
+
+    def test_absent_flags_take_the_config_defaults(self, captured, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "arithmetic", "--policy", "rucb-delay",
+            "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        assert captured == [ExperimentConfig("arithmetic", "rucb-delay")]
+
+    @pytest.mark.parametrize(
+        "flag, value, field, typed",
+        [
+            ("--T", "7", "horizon", 7),
+            ("--seed", "3", "base_seed", 3),
+            ("--stride", "2", "trace_stride", 2),
+            ("--alpha", "1.5", "alpha", 1.5),
+            ("--delay", "det:4", "delay", "det:4"),
+            ("--runs", "5", "runs", 5),
+            ("--window", "30", "window", 30),
+            ("--delta", "0.05", "delta", 0.05),
+            ("--workers", "2", "workers", 2),
+            ("--aggregated", None, "aggregated", True),
+        ],
+    )
+    def test_each_flag_lands_in_its_field(
+        self, captured, tmp_path, capsys, flag, value, field, typed
+    ):
+        given = [flag] if value is None else [flag, value]
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "sushi", "--policy", "mrr-delay", *given,
+            "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        assert captured == [ExperimentConfig("sushi", "mrr-delay", **{field: typed})]
+
+    def test_paper_scale_overrides_horizon_and_runs(self, captured, tmp_path, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--dataset", "sushi", "--policy", "mrr-delay", "--T", "9",
+            "--paper-scale", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert captured == [ExperimentConfig("sushi", "mrr-delay").at_paper_scale()]
+        assert "100 runs, T=200000" in out
 
 
 class TestBoundsCommand:
@@ -65,6 +126,15 @@ class TestBoundsCommand:
         assert code == 0
         assert float(out.strip()) > 0
 
+    def test_rucb_expected_defaults_are_bound_inputs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bounds", "rucb-expected", "--k", "3", "--T", "10000",
+            "--gaps", "0.1,0.2", "--alpha", "2",
+        )
+        assert code == 0
+        inputs = BoundInputs(k=3, t_horizon=10000, gaps=(0.1, 0.2), alpha=2.0)
+        assert out == f"{rucb_delay_expected_bound(inputs)}\n"
+
     def test_rucb_expected_alpha_one_fails_cleanly(self, capsys):
         code, out, err = run_cli(
             capsys, "bounds", "rucb-expected", "--k", "2", "--T", "10000",
@@ -92,6 +162,44 @@ class TestBoundsCommand:
             "--print-delta-star",
         )
         assert float(out.strip()) == pytest.approx(8.385254915624212e-4, rel=1e-9)
+
+
+class TestOneLineErrors:
+    """Inputs that once ended in a traceback or ran on: exit 2, one line naming them."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--policy", "rucb-delay", "--delay", "det:100000000000000000000000000000"],
+                "deterministic delay must be at most 2**62, got 100000000000000000000000000000",
+            ),
+            (
+                ["--policy", "mrr-delay", "--delay", "geometric:1e-320"],
+                "geometric parameter 1e-320 too small: its mean 1/p overflows",
+            ),
+            (["--policy", "rucb-delay", "--alpha", "inf"], "alpha must be >= 1, got inf"),
+            (["--policy", "rucb-baseline", "--alpha", "inf"], "alpha must exceed 1/2, got inf"),
+        ],
+    )
+    def test_run(self, tmp_path, capsys, argv, message):
+        code, out, err = run_cli(
+            capsys, "run", "--dataset", "arithmetic", *argv, "--T", "50", "--runs", "1",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == f"duelsim: error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("calculator", ["n-schedule", "n-schedule-aggregated"])
+    @pytest.mark.parametrize("mean", ["inf", "nan"])
+    def test_n_schedule_mean_delay(self, capsys, calculator, mean):
+        code, out, err = run_cli(
+            capsys, "bounds", calculator, "--m", "1", "--T", "200000", "--mean-delay", mean
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"duelsim: error: mean delay must be finite and >= 0, got {mean}\n"
 
 
 class TestRunCommand:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from duelsim import deterministic, from_table, geometric, parse_delay_spec, uniform_delay
+from duelsim.delays import MAX_DELAY
 
 # 99.9% chi-square quantiles by degrees of freedom, for the sampler fits
 CHI2_999 = {4: 18.467, 9: 27.877, 10: 29.588}
@@ -164,3 +165,37 @@ def test_mean_matches_samples():
     dist = geometric(0.2)
     draws = dist.sample(rng, 20000)
     assert np.mean(draws) == pytest.approx(dist.mean, rel=0.05)
+
+
+class TestLongestDelay:
+    """No delay exceeds MAX_DELAY = 2**62, so a landing step s + d fits in int64."""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("det:9223372036854775807", "deterministic delay must be at most 2**62"),
+            ("det:100000000000000000000000000000", "deterministic delay must be at most 2**62"),
+            (f"uniform:1,{2**62 + 1}", "uniform upper bound must be at most 2**62"),
+            ("geometric:1e-320", "geometric parameter 1e-320 too small: its mean 1/p overflows"),
+        ],
+    )
+    def test_out_of_range_laws_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            parse_delay_spec(spec)
+
+    def test_bound_itself_accepted(self):
+        assert deterministic(MAX_DELAY).sample(np.random.default_rng(0), 3).tolist() == [
+            MAX_DELAY
+        ] * 3
+        assert uniform_delay(MAX_DELAY, MAX_DELAY).mean == float(MAX_DELAY)
+
+    def test_tiny_geometric_draws_clipped(self):
+        # numpy draws the int64 maximum here; the sampler caps it
+        draws = geometric(1e-300).sample(np.random.default_rng(0), 100)
+        assert draws.dtype == np.int64
+        assert draws.tolist() == [MAX_DELAY] * 100
+
+    def test_clip_leaves_ordinary_draws_alone(self):
+        want = np.random.default_rng(4).geometric(0.01, 5000)
+        got = geometric(0.01).sample(np.random.default_rng(4), 5000)
+        assert np.array_equal(got, want)

@@ -8,6 +8,7 @@ from duelsim import (
     ExperimentConfig,
     PolicyAction,
     arithmetic_matrix,
+    builtin,
     deterministic,
     from_table,
     geometric,
@@ -285,6 +286,27 @@ class TestPlayRun:
         assert run_env.t == step_env.t == 41 + n
         assert run_env.rng.bit_generator.state == step_env.rng.bit_generator.state
         assert run_env._landings == step_env._landings
+
+    @pytest.mark.parametrize("aggregated", [False, True])
+    def test_longest_delays_never_land_inside_a_run(self, aggregated):
+        # numpy draws the int64 maximum for this p; unclipped, s + d wrapped
+        # around in play_run, which then delivered wins that step never does
+        run_env, step_env = (
+            DuelingEnvironment(
+                builtin("mslr"), geometric(1e-300), np.random.default_rng(0), aggregated=aggregated
+            )
+            for _ in range(2)
+        )
+        got = run_env.play_run(0, 1, 1000)
+        observe = step_env.observe_aggregated if aggregated else step_env.observe_new
+        step_env.step(0, 1)
+        want = 0 if aggregated else []
+        for t in range(2, 1001):
+            want += observe(t)
+            step_env.step(0, 1)
+        assert got == want == (0 if aggregated else [])
+        assert run_env._landings == step_env._landings
+        assert pending_wins(run_env) > 0  # the wins are queued, far past any horizon
 
     def test_long_run_leaves_only_late_wins_queued(self):
         mu = np.full((2, 2), 0.5)

@@ -322,3 +322,21 @@ class TestWriteResults:
         for a, b in zip(serial.runs, parallel.runs):
             assert a.seed == b.seed
             assert np.array_equal(a.regret, b.regret)
+
+    def test_pool_path_matches_serial_path(self, tmp_path):
+        # starts two worker processes
+        serial = run_many(config(runs=3, policy="rrdb-delay"))
+        pooled = run_many(config(runs=3, policy="rrdb-delay", workers=2))
+        assert [tr.seed for tr in pooled.runs] == [tr.seed for tr in serial.runs]
+        for a, b in zip(serial.runs, pooled.runs):
+            assert np.array_equal(a.times, b.times)
+            assert np.array_equal(a.regret, b.regret)
+            assert (a.winner, a.active) == (b.winner, b.active)
+        assert np.array_equal(pooled.mean, serial.mean)
+        assert np.array_equal(pooled.std, serial.std)
+        write_results(serial, tmp_path / "serial")
+        write_results(pooled, tmp_path / "pooled")
+        for name in ("summary.csv", "runs.csv"):
+            assert (tmp_path / "pooled" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes()

@@ -1,6 +1,9 @@
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import duelsim
@@ -60,3 +63,15 @@ def test_bench_trace_targets_resolve():
     }
     # the policies without anonymous-count feedback have no observe_count
     assert missing <= {("RucbDelay", "observe_count"), ("RrDbDelay", "observe_count")}
+
+
+def test_import_leaves_the_process_pool_out():
+    """Only run_many with workers > 1 needs concurrent.futures.process; a fresh
+    `import duelsim` must not pay for it."""
+    src = str(Path(duelsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, duelsim; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"

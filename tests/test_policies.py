@@ -81,6 +81,10 @@ class TestRucbDelaySelection:
         with pytest.raises(ValueError, match="alpha must be >= 1, got"):
             fresh_policy("rucb-delay", alpha=alpha)
 
+    def test_infinite_alpha_rejected(self):
+        with pytest.raises(ValueError, match="^alpha must be >= 1, got inf$"):
+            fresh_policy("rucb-delay", alpha=math.inf)
+
     def test_no_data_two_arms(self):
         counts = {0: 0, 1: 0}
         for seed in range(200):
@@ -166,6 +170,10 @@ class TestRucbBaseline:
         with pytest.raises(ValueError, match="alpha must exceed 1/2, got"):
             RucbBaseline(3, alpha=alpha, rng=np.random.default_rng(0))
 
+    def test_infinite_alpha_rejected(self):
+        with pytest.raises(ValueError, match="^alpha must exceed 1/2, got inf$"):
+            RucbBaseline(3, alpha=math.inf, rng=np.random.default_rng(0))
+
     def test_pending_play_counts_as_loss_for_first_arm(self):
         pol = fresh_policy("rucb-baseline", k=3, seed=3)
         a = pol.select(1)
@@ -240,6 +248,27 @@ class TestRucbBaseline:
                 assert winner == worst_lcb.index(max(worst_lcb))
             else:
                 assert winner == pol.best
+
+
+    def test_declared_winner_without_champion_by_construction(self):
+        # a cycle, 0 beats 1 beats 2 beats 0 over 1000 plays per pair: every
+        # row holds a bound below 1/2, so select finds no champion
+        wins = np.zeros((3, 3))
+        for (i, j), won in {(0, 1): 900.0, (1, 2): 600.0, (2, 0): 700.0}.items():
+            wins[i, j], wins[j, i] = won, 1000.0 - won
+        pol = RucbBaseline(3, alpha=1.0, rng=np.random.default_rng(0))
+        pol.wins, pol.best = wins.copy(), 2  # a remembered champion that no longer is one
+        t = 3001
+        ucb = reference_rules.baseline_ucb_matrix(wins, 1.0, t)
+        assert all(min(row) < 0.5 for row in ucb.tolist())
+        pol.select(t)
+        assert pol.best is None
+        assert np.array_equal(pol.wins, wins)  # select records nothing until observe
+        want = reference_rules.best_worst_case_lcb(
+            reference_rules.baseline_ucb_matrix(wins, 1.0, pol.last_t + 1)
+        )
+        assert want == 2  # the best worst case: 1 - U[1, 2] = 0.31
+        assert pol.declared_winner() == want
 
 
 class TestRrDbDelay:
