@@ -1,9 +1,11 @@
-"""Best-worst-case, elimination, bound and MRR select rules as first written, kept as references.
+"""Best-worst-case, elimination, bound, MRR select and winner rules as first written, kept as references.
 
 The policies now share list-based helpers, RrDbDelay reads its bounds from
-estimator.corrected_bounds and MrrDbDelay selects in one loop; these are
-verbatim copies of the dict- and numpy-based rules, of the scalar
-round-robin bound and of the next_pair/RoundComplete select they replaced.
+estimator.corrected_bounds, MrrDbDelay selects in one loop and the winner
+rules are written once; these are verbatim copies of the dict- and
+numpy-based rules, of the scalar round-robin bound, of the
+next_pair/RoundComplete select and of the declared_winner methods they
+replaced.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from duelsim import PolicyAction
+from duelsim.policies import _best_worst_case
 
 
 def rrdb_survivors(bounds, active):
@@ -103,3 +106,36 @@ def mrr_select(pol):
     except RoundComplete:
         pol.end_round()
         return mrr_next_pair(pol)
+
+
+def rucb_declared_winner(self):
+    """RucbDelay.declared_winner, with the policy passed as self."""
+    if self.best is not None:
+        return self.best
+    ucb = self.est.ucb_matrix(self.est.last_t + 1, self.alpha)
+    return _best_worst_case((1.0 - ucb.T).tolist(), range(self.k))
+
+
+def baseline_declared_winner(self):
+    """RucbBaseline.declared_winner, with the policy passed as self."""
+    if self.best is not None:
+        return self.best
+    ucb = self._ucb_matrix(self.last_t + 1)
+    return _best_worst_case((1.0 - ucb.T).tolist(), range(self.k))
+
+
+def mrr_declared_winner(self):
+    """MrrDbDelay.declared_winner, with the policy passed as self."""
+    if len(self.active) == 1:
+        return self.active[0]
+    best, best_score = None, -math.inf
+    for i in self.active:
+        scores = [
+            self.mean_estimate(i, j)
+            for j in self.active
+            if j != i and self.plays.get((i, j), 0) > 0
+        ]
+        score = min(scores) if scores else -math.inf
+        if score > best_score:
+            best, best_score = i, score
+    return best if best is not None else self.active[0]

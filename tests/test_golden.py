@@ -13,6 +13,9 @@ is drawn, so the det cases also equal the one-uniform-per-play stream.
 
 The digests depend on numpy's Generator streams and float formatting, so
 a numpy release that changes either would also move them.
+
+runs.csv holds only regret, so each case also pins every run's
+(declared winner, active arms), which the policies' winner rules decide.
 """
 
 import hashlib
@@ -74,6 +77,23 @@ ROUND_GOLDEN = {
     ),
 }
 
+# (policy, delay, aggregated, horizon) -> per-run (winner, active), seeds 11, 12
+ALL_ACTIVE = (0, 1, 2, 3, 4)
+OUTCOMES = {
+    ("rucb-delay", "det:1", False, 2000): [(0, None)] * 2,
+    ("rucb-delay", "geometric:0.1", False, 2000): [(0, None)] * 2,
+    ("rrdb-delay", "det:1", False, 2000): [(None, (0, 1, 2))] * 2,
+    ("rrdb-delay", "geometric:0.1", False, 2000): [(None, (0, 1, 2))] * 2,
+    ("mrr-delay", "det:1", False, 2000): [(0, ALL_ACTIVE)] * 2,
+    ("mrr-delay", "geometric:0.1", False, 2000): [(0, ALL_ACTIVE)] * 2,
+    ("rucb-baseline", "det:1", False, 2000): [(0, None)] * 2,
+    ("rucb-baseline", "geometric:0.1", False, 2000): [(0, None)] * 2,
+    ("mrr-delay", "det:1", True, 2000): [(0, ALL_ACTIVE)] * 2,
+    ("mrr-delay", "geometric:0.1", True, 2000): [(0, ALL_ACTIVE)] * 2,
+    ("mrr-delay", "det:5", False, 20_000): [(0, (0,))] * 2,
+    ("mrr-delay", "geometric:0.1", True, 60_000): [(0, (0, 1, 2))] * 2,
+}
+
 
 @pytest.fixture(scope="module")
 def steep_csv(tmp_path_factory):
@@ -86,6 +106,7 @@ def steep_csv(tmp_path_factory):
 
 
 def _digest(tmp_path, steep_csv, policy, delay, aggregated, horizon):
+    """sha256 of runs.csv; also checks the runs' (winner, active) against OUTCOMES."""
     config = ExperimentConfig(
         dataset=steep_csv,
         policy=policy,
@@ -97,7 +118,10 @@ def _digest(tmp_path, steep_csv, policy, delay, aggregated, horizon):
         trace_stride=50,
         aggregated=aggregated,
     )
-    write_results(run_many(config), tmp_path)
+    result = run_many(config)
+    outcomes = [(tr.winner, tr.active) for tr in result.runs]
+    assert outcomes == OUTCOMES[(policy, delay, aggregated, horizon)]
+    write_results(result, tmp_path)
     return hashlib.sha256((tmp_path / "runs.csv").read_bytes()).hexdigest()
 
 

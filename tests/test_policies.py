@@ -705,6 +705,68 @@ class TestSharedRules:
         assert pol.declared_winner() == reference_rules.best_worst_case_lcb(ucb)
 
 
+@st.composite
+def mrr_winner_states(draw):
+    """An MrrDbDelay with random active arms and play and conversion counts.
+
+    Unplayed pairs, tied estimates, a sole survivor and nothing played all
+    occur; conversions may outnumber plays, as aggregated credit allows.
+    """
+    k = draw(st.integers(1, 6))
+    pol = MrrDbDelay(k, horizon=10**6, mean_delay=2.0)
+    pol.active = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1)))
+    for i in range(k):
+        for j in range(k):
+            plays = draw(st.sampled_from([0, 0, 0, 1, 2, 4]))
+            if plays:
+                pol.plays[(i, j)] = plays
+                pol.convs[(i, j)] = float(draw(st.integers(0, plays + 1)))
+    return pol
+
+
+class TestWinnerRules:
+    """declared_winner against the methods it replaced (tests/reference_rules.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mrr_winner_states())
+    def test_mrr_matches_old_rule(self, pol):
+        assert pol.declared_winner() == reference_rules.mrr_declared_winner(pol)
+
+    @pytest.mark.parametrize(
+        "k, active, plays",
+        [
+            (4, [0, 1, 2, 3], {}),  # nothing played
+            (4, [2, 3], {(0, 2): 5}),  # only eliminated opponents played
+            (4, [3], {(3, 0): 2, (0, 3): 2}),  # sole survivor
+            (3, [0, 1, 2], {(1, 0): 2, (2, 0): 2}),  # tie between 1 and 2
+            (3, [0, 1, 2], {(2, 1): 1}),  # the only arm with a finite score
+        ],
+    )
+    def test_mrr_edge_states(self, k, active, plays):
+        pol = MrrDbDelay(k, horizon=10**6, mean_delay=2.0)
+        pol.active, pol.plays = active, plays
+        pol.convs = {pair: float(n) / 2 for pair, n in plays.items()}
+        assert pol.declared_winner() == reference_rules.mrr_declared_winner(pol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_matrices())
+    def test_baseline_matches_old_rule(self, case):
+        ucb, best, _ = case
+        pol = RucbBaseline(ucb.shape[0], alpha=1.0, rng=np.random.default_rng(0))
+        pol.best, pol._ucb_matrix = best, lambda t: ucb
+        assert pol.declared_winner() == reference_rules.baseline_declared_winner(pol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bound_matrices())
+    def test_rucb_matches_old_rule(self, case):
+        ucb, best, _ = case
+        k = ucb.shape[0]
+        tau = geometric(0.3).tau_table(8)
+        pol = RucbDelay(k, alpha=1.0, window=8, tau_table=tau, rng=np.random.default_rng(0))
+        pol.best, pol.est.ucb_matrix = best, lambda t, alpha: ucb
+        assert pol.declared_winner() == reference_rules.rucb_declared_winner(pol)
+
+
 class TestRucbBaselineBounds:
     """The masked bound equals the np.errstate formula it replaced."""
 
