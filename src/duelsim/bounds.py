@@ -3,13 +3,57 @@
 All calculators are pure functions of their inputs and use the natural
 logarithm.  Logarithms that would go negative at small arguments are
 floored at zero so every radical stays real; callers relying on the
-asymptotic regime are unaffected.
+asymptotic regime are unaffected.  An argument outside its DOMAINS entry,
+or a result that overflows, fails with a one-line ValueError.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import itertools
 import math
 from dataclasses import dataclass
+
+# argument -> (name in errors, domain in words, membership test)
+DOMAINS = {
+    "k": ("K", ">= 2", lambda x: x >= 2),
+    "t_horizon": ("T", ">= 1", lambda x: x >= 1),
+    "m": ("round index", ">= 1", lambda x: x >= 1),
+    "m_window": ("window M", ">= 1", lambda x: x >= 1),
+    "alpha": ("alpha", "finite and > 1/2", lambda x: 0.5 < x < math.inf),
+    "delta": ("delta", "in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "tau_1": ("tau_1", "in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "tau_m": ("tau_m", "in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "mean_delay": ("mean delay", "finite and >= 0", lambda x: 0.0 <= x < math.inf),
+    "gaps": ("gaps", "in (0, 1/2]", lambda gaps: all(0.0 < g <= 0.5 for g in gaps)),
+}
+
+
+def _check_domains(arguments: dict) -> None:
+    for arg, (name, domain, inside) in DOMAINS.items():
+        if arg in arguments and not inside(arguments[arg]):
+            raise ValueError(f"{name} must be {domain}, got {arguments[arg]}")
+
+
+def _calculator(function):
+    """function with its arguments checked against DOMAINS; a result that
+    overflows (inf, nan or a float error on the way) fails with one line."""
+    signature = inspect.signature(function)
+
+    @functools.wraps(function)
+    def checked(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs).arguments
+        _check_domains(arguments)
+        try:
+            result = function(*args, **kwargs)
+            if all(map(math.isfinite, result if isinstance(result, tuple) else (result,))):
+                return result
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise ValueError(f"{function.__name__} overflows for {dict(arguments)}")
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -31,33 +75,22 @@ class BoundInputs:
     mean_delay: float = 0.0
 
     def __post_init__(self):
-        if self.k < 2 or len(self.gaps) != self.k - 1:
+        _check_domains(vars(self))
+        if len(self.gaps) != self.k - 1:
             raise ValueError("gaps must list one value per suboptimal arm")
-        if any(not 0.0 < g <= 0.5 for g in self.gaps):
-            raise ValueError("gaps must lie in (0, 1/2]")
-        if not (0.0 < self.tau_1 <= 1.0 and 0.0 < self.tau_m <= 1.0):
-            raise ValueError("tau values must lie in (0, 1]")
 
 
+@_calculator
 def c_delta(alpha: float, m_window: int, k: int, delta: float) -> float:
     """Time threshold beyond which all confidence intervals hold w.p. 1-delta."""
-    if alpha <= 0.5:
-        raise ValueError(f"alpha must exceed 1/2, got {alpha}")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return ((4 * alpha - 1) * (m_window + 1) * k * (k - 1) / ((2 * alpha - 1) * delta)) ** (
-        1 / (2 * alpha - 1)
-    )
+    base = (4 * alpha - 1) * (m_window + 1) * k * (k - 1) / ((2 * alpha - 1) * delta)
+    return base ** (1 / (2 * alpha - 1))
 
 
-def _round_terms(m: int, t_horizon: int, mean_delay: float) -> tuple[float, float]:
-    """gamma_m = 2^-m and log(T gamma_m^2), floored at 0, for valid inputs."""
-    if m < 1:
-        raise ValueError(f"round index must be >= 1, got {m}")
-    if not 0.0 <= mean_delay < math.inf:
-        raise ValueError(f"mean delay must be finite and >= 0, got {mean_delay}")
+def _round_terms(m: int, t_horizon: int) -> tuple[float, float]:
+    """gamma_m = 2^-m and log(T gamma_m^2), floored at 0 (T gamma_m^2 may underflow)."""
     g = 2.0**-m
-    return g, max(math.log(t_horizon * g * g), 0.0)
+    return g, math.log(max(t_horizon * g * g, 1.0))
 
 
 def _play_target(x: float, m: int, mean_delay: float) -> int:
@@ -75,14 +108,11 @@ def _pair_min_gaps(gaps: tuple[float, ...]):
     the literal min vacuous, and only the opponent's gap drives how long
     such a pair survives.
     """
-    for g in gaps:
-        yield g
-    n = len(gaps)
-    for a in range(n):
-        for b in range(a + 1, n):
-            yield min(gaps[a], gaps[b])
+    yield from gaps
+    yield from (min(a, b) for a, b in itertools.combinations(gaps, 2))
 
 
+@_calculator
 def rucb_delay_expected_bound(inputs: BoundInputs, use_tau_m: bool = False) -> float:
     """Explicit expected-regret constant for the delay-aware UCB policy.
 
@@ -99,15 +129,13 @@ def rucb_delay_expected_bound(inputs: BoundInputs, use_tau_m: bool = False) -> f
     gaps = inputs.gaps
     d_max = max(gaps)
     big_d = (1 / tau**2) * sum(4 * a / g**2 for g in _pair_min_gaps(gaps))
-    head = (
-        8 + (2 * (4 * a - 1) * (m + 1) * k * (k - 1) / (2 * a - 1)) ** (1 / (2 * a - 1))
-        * (2 * a - 1) / (a - 1)
-    ) * d_max
+    head = (8 + c_delta(a, m, k, 0.5) * (2 * a - 1) / (a - 1)) * d_max
     log_t = math.log(t)
     tail = sum(2 * a * (g + 4 * d_max) / (tau**2 * g**2) * log_t for g in gaps)
     return head + 2 * big_d * math.log(2 * big_d) * d_max + tail
 
 
+@_calculator
 def n_schedule(m: int, t_horizon: int, mean_delay: float) -> int:
     """Cumulative plays per ordered pair required by round m.
 
@@ -115,7 +143,7 @@ def n_schedule(m: int, t_horizon: int, mean_delay: float) -> int:
     which covers small horizons.  Raw formula value (no cross-round
     monotonicity), clamped below at 1 play.
     """
-    g, loga = _round_terms(m, t_horizon, mean_delay)
+    g, loga = _round_terms(m, t_horizon)
     root = math.sqrt(loga / 2) + math.sqrt(
         loga / 2
         + (4 / 3) * g * loga
@@ -125,21 +153,23 @@ def n_schedule(m: int, t_horizon: int, mean_delay: float) -> int:
     return _play_target(root * root / (g * g), m, mean_delay)
 
 
+@_calculator
 def n_schedule_aggregated(m: int, t_horizon: int, mean_delay: float) -> int:
     """Round-m play target when feedback is aggregated and anonymous."""
-    g, loga = _round_terms(m, t_horizon, mean_delay)
+    g, loga = _round_terms(m, t_horizon)
     root = math.sqrt(2 * loga) + math.sqrt(
         2 * loga + (8 / 3) * g * loga + 6 * g * m * mean_delay
     )
     return _play_target(root * root / (g * g), m, mean_delay)
 
 
+@_calculator
 def mrr_expected_bound(inputs: BoundInputs) -> float:
     """Explicit expected-regret constant for the round-robin elimination policy."""
     k, t, ed = inputs.k, inputs.t_horizon, inputs.mean_delay
     total = 0.0
     for g in inputs.gaps:
-        loga = max(math.log(4 * t * g * g / 9), 0.0)
+        loga = math.log(max(4 * t * g * g / 9, 1.0))
         total += (
             9 * k * loga / g
             + 4 * k * loga
@@ -151,11 +181,8 @@ def mrr_expected_bound(inputs: BoundInputs) -> float:
     return total
 
 
+@_calculator
 def lower_bound_value(k: int, t_horizon: int, tau_m: float) -> tuple[float, float]:
     """Hard-instance gap and the sqrt(T K / tau_M) regret scale (unit constant)."""
-    if k < 2:
-        raise ValueError(f"need at least 2 arms, got {k}")
-    if not 0.0 < tau_m <= 1.0:
-        raise ValueError(f"tau_m must lie in (0, 1], got {tau_m}")
     delta_star = math.sqrt((k - 1) / (128 * t_horizon * tau_m))
     return delta_star, math.sqrt(t_horizon * k / tau_m)

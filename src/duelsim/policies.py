@@ -25,6 +25,7 @@ runs are reproducible and external references can align draw-for-draw):
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -52,18 +53,13 @@ def _champion_pair(
     champions = [i for i, low in enumerate(ucb.min(axis=1).tolist()) if low >= 0.5]
     if best not in champions:
         best = None
-    if not champions:
-        u = int(rng.integers(k))
-    elif len(champions) == 1:
+    if len(champions) == 1:
         u = best = champions[0]
-    elif best is not None:
-        if rng.random() < 0.5:
-            u = best
-        else:
-            rest = [i for i in champions if i != best]
-            u = rest[rng.integers(len(rest))]
-    else:
-        u = champions[rng.integers(len(champions))]
+    elif best is not None and rng.random() < 0.5:
+        u = best
+    else:  # the champions other than best; every arm when there are none
+        rest = [i for i in champions if i != best] or range(k)
+        u = rest[rng.integers(len(rest))]
 
     column = ucb[:, u].tolist()
     top = max(column)
@@ -81,6 +77,13 @@ def _best_worst_case(score: list[list[float]], arms) -> int:
     return max(
         arms, key=lambda i: min((score[i][j] for j in arms if j != i), default=math.inf)
     )
+
+
+def _ucb_winner(best: int | None, ucb: np.ndarray) -> int:
+    """The remembered champion, else argmax_i min_{j != i} (1 - U_ji), first on ties."""
+    if best is not None:
+        return best
+    return _best_worst_case((1.0 - ucb.T).tolist(), range(ucb.shape[0]))
 
 
 def _unbeaten(score: list[list[float]], arms, margin: float) -> list[int]:
@@ -123,12 +126,7 @@ class RucbDelay:
             self.est.ingest_conversion(o.s, o.u, o.v)
 
     def declared_winner(self) -> int:
-        """The remembered champion, else the arm with the best worst-case
-        lower bound max_i min_{j != i} (1 - U_ji), lowest index on ties."""
-        if self.best is not None:
-            return self.best
-        ucb = self.est.ucb_matrix(self.est.last_t + 1, self.alpha)
-        return _best_worst_case((1.0 - ucb.T).tolist(), range(self.k))
+        return _ucb_winner(self.best, self.est.ucb_matrix(self.est.last_t + 1, self.alpha))
 
 
 class RucbBaseline:
@@ -179,12 +177,7 @@ class RucbBaseline:
             self._unobserved = None
 
     def declared_winner(self) -> int:
-        """The remembered champion, else RucbDelay's rule on these bounds at
-        the step after the last select: max_i min_{j != i} (1 - U_ji)."""
-        if self.best is not None:
-            return self.best
-        ucb = self._ucb_matrix(self.last_t + 1)
-        return _best_worst_case((1.0 - ucb.T).tolist(), range(self.k))
+        return _ucb_winner(self.best, self._ucb_matrix(self.last_t + 1))
 
 
 class RrDbDelay:
@@ -209,13 +202,8 @@ class RrDbDelay:
         self._pos = 0
 
     def _build_sweep(self) -> list[PolicyAction]:
-        pairs = []
-        for a in range(len(self.active)):
-            for b in range(a + 1, len(self.active)):
-                i, j = self.active[a], self.active[b]
-                pairs.append(PolicyAction(i, j))
-                pairs.append(PolicyAction(j, i))
-        return pairs
+        pairs = itertools.combinations(self.active, 2)
+        return [p for i, j in pairs for p in (PolicyAction(i, j), PolicyAction(j, i))]
 
     def _eliminate(self, t: int) -> None:
         log_term = math.log(self.k * t / self.delta)
@@ -362,21 +350,14 @@ class MrrDbDelay:
     def active_arms(self) -> tuple[int, ...]:
         return tuple(self.active)
 
-    def declared_winner(self) -> int | None:
-        """Sole survivor, else the arm with the best worst-case estimate."""
-        if len(self.active) == 1:
-            return self.active[0]
-        best, best_score = None, -math.inf
-        for i in self.active:
-            scores = [
-                self.mean_estimate(i, j)
-                for j in self.active
-                if j != i and self.plays.get((i, j), 0) > 0
-            ]
-            score = min(scores) if scores else -math.inf
-            if score > best_score:
-                best, best_score = i, score
-        return best if best is not None else self.active[0]
+    def declared_winner(self) -> int:
+        """The active arm with the best worst-case estimate against the
+        opponents it has played (-inf if none), first on ties."""
+        def worst(i):
+            played = (j for j in self.active if j != i and self.plays.get((i, j), 0) > 0)
+            return min((self.mean_estimate(i, j) for j in played), default=-math.inf)
+
+        return max(self.active, key=worst)
 
 
 _BUILTINS = (RucbDelay, RucbBaseline, RrDbDelay, MrrDbDelay)
@@ -405,6 +386,8 @@ def make_policy(
         raise ValueError(f"unknown policy {name!r}; known: {known}")
     if aggregated and name != MrrDbDelay.name:
         raise ValueError(f"policy {name!r} cannot consume aggregated anonymous feedback")
+    # no play is older than T at t <= T + 1: a longer window changes no weight
+    window = min(window, horizon)
     if name == RucbDelay.name:
         return RucbDelay(
             k, alpha=alpha, window=window, tau_table=delay.tau_table(window), rng=rng

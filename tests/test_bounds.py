@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -333,3 +334,93 @@ class TestPurity:
             BoundInputs(k=2, t_horizon=100, gaps=(0.7,))  # gap out of range
         with pytest.raises(ValueError):
             BoundInputs(k=2, t_horizon=100, gaps=(0.1,), tau_1=0.0)
+
+
+# ---------------------------------------------------------------------------
+# robustness: each numeric argument in turn set to an extreme, the rest valid
+# ---------------------------------------------------------------------------
+
+EXTREMES = [0, -1, math.nan, math.inf, -math.inf, 1e-300, 1e300]
+VALID_INPUTS = dict(
+    k=3, t_horizon=10**4, gaps=(0.1, 0.3), alpha=1.5, m_window=20, tau_1=0.3, tau_m=0.9,
+    mean_delay=5.0,
+)
+# name -> (calculator taking keyword arguments, valid arguments)
+CALCULATORS = {
+    "c_delta": (c_delta, dict(alpha=1.0, m_window=1000, k=6, delta=0.1)),
+    "n_schedule": (n_schedule, dict(m=1, t_horizon=200000, mean_delay=100.0)),
+    "n_schedule_aggregated": (
+        n_schedule_aggregated, dict(m=1, t_horizon=200000, mean_delay=100.0)
+    ),
+    "lower_bound_value": (lower_bound_value, dict(k=10, t_horizon=10**5, tau_m=1.0)),
+    "rucb_delay_expected_bound": (
+        lambda **kw: rucb_delay_expected_bound(BoundInputs(**kw)), VALID_INPUTS
+    ),
+    "rucb_delay_expected_bound(use_tau_m)": (
+        lambda **kw: rucb_delay_expected_bound(BoundInputs(**kw), use_tau_m=True), VALID_INPUTS
+    ),
+    "mrr_expected_bound": (lambda **kw: mrr_expected_bound(BoundInputs(**kw)), VALID_INPUTS),
+}
+
+
+def _swept_arguments():
+    """(calculator, argument, index): index picks one gap, None a scalar."""
+    for name, (_, valid) in CALCULATORS.items():
+        for arg, value in valid.items():
+            for index in range(len(value)) if isinstance(value, tuple) else [None]:
+                yield name, arg, index
+
+
+def _assert_finite_real(result, kind, args=None):
+    for value in result if isinstance(result, tuple) else (result,):
+        assert type(value) is kind and math.isfinite(value), (args, result)
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("name, arg, index", list(_swept_arguments()))
+    def test_extreme_argument_returns_a_finite_real_or_raises_value_error(
+        self, name, arg, index
+    ):
+        function, valid = CALCULATORS[name]
+        kind = int if name.startswith("n_schedule") else float
+        _assert_finite_real(function(**valid), kind)
+        for extreme in EXTREMES:
+            args = dict(valid)
+            if index is None:
+                args[arg] = extreme
+            else:
+                args[arg] = valid[arg][:index] + (extreme,) + valid[arg][index + 1 :]
+            try:
+                result = function(**args)
+            except ValueError:
+                continue
+            except Exception as exc:  # any other type is the failure
+                pytest.fail(f"{name}({args}) raised {exc!r}")
+            _assert_finite_real(result, kind, args)
+
+    def test_overflow_fails_with_one_line(self):
+        with pytest.raises(ValueError, match=r"^c_delta overflows for \{'alpha': 0.5000001, "):
+            c_delta(0.5000001, 1000, 6, 0.1)
+        with pytest.raises(ValueError, match=r"^n_schedule overflows for \{'m': 2000, "):
+            n_schedule(2000, 100, 1.0)  # gamma^2 underflows to 0
+        with pytest.raises(ValueError, match=r"^rucb_delay_expected_bound overflows for "):
+            # tau_1^2 underflows to 0
+            inputs = BoundInputs(k=2, t_horizon=100, gaps=(0.1,), alpha=2.0, tau_1=1e-300)
+            rucb_delay_expected_bound(inputs)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (dict(k=1, gaps=()), "K must be >= 2, got 1"),
+            (dict(t_horizon=0), "T must be >= 1, got 0"),
+            (dict(mean_delay=math.inf), "mean delay must be finite and >= 0, got inf"),
+            (dict(mean_delay=math.nan), "mean delay must be finite and >= 0, got nan"),
+            (dict(mean_delay=-5.0), "mean delay must be finite and >= 0, got -5.0"),
+            (dict(alpha=math.inf), "alpha must be finite and > 1/2, got inf"),
+            (dict(m_window=0), "window M must be >= 1, got 0"),
+            (dict(tau_m=1.5), "tau_m must be in (0, 1], got 1.5"),
+        ],
+    )
+    def test_bound_inputs_domains(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BoundInputs(**{"k": 2, "t_horizon": 100, "gaps": (0.1,), **args})

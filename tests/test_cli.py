@@ -164,6 +164,13 @@ class TestBoundsCommand:
         assert float(out.strip()) == pytest.approx(8.385254915624212e-4, rel=1e-9)
 
 
+# bounds calculators with all but the arguments under test
+LOWER = ["lower-bound", "--k", "10", "--tau-m", "1"]
+MRR = ["mrr-expected", "--k", "2", "--gaps", "0.1"]
+RUCB = ["rucb-expected", "--k", "2", "--gaps", "0.1"]
+C_DELTA = ["c-delta", "--window", "1000", "--k", "6"]
+
+
 class TestOneLineErrors:
     """Inputs that once ended in a traceback or ran on: exit 2, one line naming them."""
 
@@ -200,6 +207,54 @@ class TestOneLineErrors:
         assert code == 2
         assert out == ""
         assert err == f"duelsim: error: mean delay must be finite and >= 0, got {mean}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([*LOWER, "--T", "0"], "T must be >= 1, got 0"),
+            ([*LOWER, "--T", "-5"], "T must be >= 1, got -5"),
+            ([*MRR, "--T", "100000", "--mean-delay", "inf"], "mean delay must be finite and >= 0, got inf"),
+            ([*MRR, "--T", "100000", "--mean-delay", "nan"], "mean delay must be finite and >= 0, got nan"),
+            ([*MRR, "--T", "100000", "--mean-delay", "-5"], "mean delay must be finite and >= 0, got -5.0"),
+            (
+                [*MRR, "--T", "100", "--mean-delay", "1e308"],
+                "mrr_expected_bound overflows for {'inputs': BoundInputs(k=2, t_horizon=100, "
+                "gaps=(0.1,), alpha=1.0, m_window=1000, tau_1=1.0, tau_m=1.0, mean_delay=1e+308)}",
+            ),
+            ([*RUCB, "--T", "0", "--alpha", "2"], "T must be >= 1, got 0"),
+            ([*MRR, "--T", "0", "--mean-delay", "1"], "T must be >= 1, got 0"),
+            (["n-schedule", "--m", "1", "--T", "0", "--mean-delay", "1"], "T must be >= 1, got 0"),
+            (
+                ["n-schedule", "--m", "2000", "--T", "100", "--mean-delay", "1"],
+                "n_schedule overflows for {'m': 2000, 't_horizon': 100, 'mean_delay': 1.0}",
+            ),
+            (
+                [*C_DELTA, "--alpha", "0.5000001", "--delta", "0.1"],
+                "c_delta overflows for {'alpha': 0.5000001, 'm_window': 1000, 'k': 6, 'delta': 0.1}",
+            ),
+            ([*C_DELTA, "--alpha", "nan", "--delta", "0.1"], "alpha must be finite and > 1/2, got nan"),
+            ([*C_DELTA, "--alpha", "1", "--delta", "nan"], "delta must be in (0, 1], got nan"),
+            ([*C_DELTA, "--alpha", "1", "--delta", "inf"], "delta must be in (0, 1], got inf"),
+            (
+                ["c-delta", "--alpha", "1", "--window", "-5", "--k", "6", "--delta", "0.1"],
+                "window M must be >= 1, got -5",
+            ),
+            (
+                ["c-delta", "--alpha", "1", "--window", "1000", "--k", "1", "--delta", "0.1"],
+                "K must be >= 2, got 1",
+            ),
+            ([*RUCB, "--T", "100", "--alpha", "inf"], "alpha must be finite and > 1/2, got inf"),
+            (
+                [*RUCB, "--T", "100", "--alpha", "2", "--window", "-5"],
+                "window M must be >= 1, got -5",
+            ),
+        ],
+    )
+    def test_bounds_out_of_domain(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"duelsim: error: {message}\n"
 
 
 class TestRunCommand:

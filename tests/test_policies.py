@@ -14,6 +14,7 @@ from duelsim import (
     RucbBaseline,
     RucbDelay,
     arithmetic_matrix,
+    builtin,
     deterministic,
     geometric,
     make_policy,
@@ -809,6 +810,24 @@ class TestRegistry:
         with pytest.raises(ValueError, match="delta 1e-320 too small"):
             fresh_policy("rrdb-delay", delta=1e-320)
         assert fresh_policy("rrdb-delay", delta=1e-300).delta == 1e-300
+
+    @pytest.mark.parametrize("name", ["rucb-delay", "rrdb-delay"])
+    def test_window_above_horizon_acts_as_horizon(self, name):
+        # no play is older than T at t <= T + 1, so the window is cut to T
+        pol = fresh_policy(name, horizon=300, window=10**6)
+        assert pol.est.m_window == 300
+        assert pol.est.tau.shape == (301,)
+
+    @pytest.mark.parametrize("name, dataset", [("rucb-delay", "arithmetic"), ("rrdb-delay", "mslr")])
+    def test_window_above_horizon_gives_the_same_trace(self, name, dataset):
+        matrix = builtin(dataset)
+        traces, winners = [], []
+        for window in (300, 10**6):
+            pol = fresh_policy(name, k=matrix.k, horizon=300, window=window, seed=7)
+            traces.append(run_actions(matrix, geometric(0.05), pol, 300))
+            winners.append((pol.declared_winner(), getattr(pol, "active_arms", None)))
+        assert traces[0] == traces[1]
+        assert winners[0] == winners[1]
 
     @pytest.mark.parametrize("name", ["rucb-delay", "rrdb-delay", "mrr-delay", "rucb-baseline"])
     def test_all_policies_run_and_are_deterministic(self, name):
