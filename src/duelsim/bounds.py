@@ -13,6 +13,7 @@ import functools
 import inspect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 # argument -> (name in errors, domain in words, membership test)
@@ -28,12 +29,18 @@ DOMAINS = {
     "mean_delay": ("mean delay", "finite and >= 0", lambda x: 0.0 <= x < math.inf),
     "gaps": ("gaps", "in (0, 1/2]", lambda gaps: all(0.0 < g <= 0.5 for g in gaps)),
 }
+COUNTS = ("k", "t_horizon", "m", "m_window")  # int or numpy integer, never bool
 
 
 def _check_domains(arguments: dict) -> None:
     for arg, (name, domain, inside) in DOMAINS.items():
-        if arg in arguments and not inside(arguments[arg]):
-            raise ValueError(f"{name} must be {domain}, got {arguments[arg]}")
+        if arg not in arguments:
+            continue
+        x = arguments[arg]
+        if arg in COUNTS and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+            raise ValueError(f"{name} must be an integer {domain}, got {x}")
+        if not inside(x):
+            raise ValueError(f"{name} must be {domain}, got {x}")
 
 
 def _calculator(function):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import datasets
 from .delays import DelayDistribution, parse_delay_spec
-from .environment import DuelingEnvironment, PreferenceMatrix
+from .environment import DRAW_CHUNK, DuelingEnvironment, PreferenceMatrix
 from .policies import make_policy
 
 PAPER_HORIZON = 200_000
@@ -86,10 +86,14 @@ def run_one(
     Per step t the policy first receives whatever converted at t, then
     picks a pair, the environment draws the hidden outcome, and the true
     regret accumulates.  A policy with select_run (mrr-delay) may commit a
-    run of n plays of one pair, at most the window M: the environment plays
-    them in one play_run call, the conversions landing inside the run are
-    fed once, at its last step, and one sequential accumulate charges its
-    regret, bit for bit the per-step sums.  Other policies play step by step.
+    run of n plays of one pair: the environment plays them in one play_run
+    call, the conversions landing inside the run are fed once, at its last
+    step, and one sequential accumulate charges its regret, bit for bit the
+    per-step sums.  A run is at most the window M in standard mode, where
+    play_run builds one PendingOutcome per in-run win, and at most
+    DRAW_CHUNK plays in aggregated mode, where it returns a count and holds
+    only numpy arrays; the cap changes no trace, since the pair order comes
+    from the quotas alone.  Other policies play step by step.
     policy_factory(matrix, rng) overrides the named policy (used for
     scripted policies in tests).
     """
@@ -131,6 +135,8 @@ def run_one(
         deliver, feed = env.observe_new, policy.observe
     select_run = getattr(policy, "select_run", None)
     select, step, play_run = policy.select, env.step, env.play_run
+    # a standard run builds one PendingOutcome per win; an aggregated one only counts
+    run_cap = DRAW_CHUNK if config.aggregated else config.window
     t = 1
     while t <= horizon:
         feed(t, deliver(t))
@@ -142,7 +148,7 @@ def run_one(
                 regret.append(cumulative)
             t += 1
         else:
-            (u, v), n = select_run(t, min(config.window, horizon + 1 - t))
+            (u, v), n = select_run(t, min(run_cap, horizon + 1 - t))
             feed(t + n - 1, play_run(u, v, n))
             # accumulate adds left to right, so sums[i] is the running sum
             # after the run's i-th play, bit for bit the per-step chain
@@ -193,18 +199,20 @@ def write_results(result: AggregateResult, out_dir) -> None:
 
     Output is deterministic byte for byte for a given result.
     """
+    # tolist() gives Python ints and floats, whose repr is that of
+    # float(numpy scalar), so each file is formatted without numpy scalars
+    summary = zip(result.times.tolist(), result.mean.tolist(), result.std.tolist())
+    texts = {"summary.csv": ["t,mean_regret,std_regret\n"], "runs.csv": ["seed,t,regret\n"]}
+    texts["summary.csv"] += [f"{t},{m!r},{s!r}\n" for t, m, s in summary]
+    for tr in result.runs:
+        seed = tr.seed
+        texts["runs.csv"] += [
+            f"{seed},{t},{r!r}\n" for t, r in zip(tr.times.tolist(), tr.regret.tolist())
+        ]
     os.makedirs(out_dir, exist_ok=True)
-    summary_path = os.path.join(out_dir, "summary.csv")
-    runs_path = os.path.join(out_dir, "runs.csv")
     try:
-        with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,mean_regret,std_regret\n")
-            for t, m, s in zip(result.times, result.mean, result.std):
-                fh.write(f"{int(t)},{float(m)!r},{float(s)!r}\n")
-        with open(runs_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("seed,t,regret\n")
-            for tr in result.runs:
-                for t, r in zip(tr.times, tr.regret):
-                    fh.write(f"{tr.seed},{int(t)},{float(r)!r}\n")
+        for name, lines in texts.items():
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("".join(lines))
     except OSError as exc:
         raise OSError(f"writing results under {out_dir}: {exc}") from exc

@@ -424,3 +424,23 @@ class TestRobustness:
     def test_bound_inputs_domains(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BoundInputs(**{"k": 2, "t_horizon": 100, "gaps": (0.1,), **args})
+
+    @pytest.mark.parametrize(
+        "function, args, message",
+        [
+            (n_schedule, (1.5, 1000, 1.0), "round index must be an integer >= 1, got 1.5"),
+            (c_delta, (1.0, 10.5, 2.5, 0.1), "K must be an integer >= 2, got 2.5"),
+            (c_delta, (1.0, 10.5, 6, 0.1), "window M must be an integer >= 1, got 10.5"),
+            (lower_bound_value, (2.5, 100, 1.0), "K must be an integer >= 2, got 2.5"),
+            (n_schedule, (1, math.inf, 1.0), "T must be an integer >= 1, got inf"),
+            (n_schedule, (True, 1000, 1.0), "round index must be an integer >= 1, got True"),
+        ],
+        ids=["m-float", "k-float", "window-float", "lower-bound-k-float", "t-inf", "m-bool"],
+    )
+    def test_counts_must_be_integers(self, function, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            function(*args)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert n_schedule(np.int64(1), np.int32(200_000), 100.0) == n_schedule(1, 200_000, 100.0)
+        assert c_delta(1.0, np.int64(1000), np.int64(6), 0.1) == c_delta(1.0, 1000, 6, 0.1)

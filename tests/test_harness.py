@@ -16,6 +16,7 @@ from duelsim import (
     validate_matrix,
     write_results,
 )
+from duelsim.environment import DRAW_CHUNK
 
 
 class ConstantPolicy:
@@ -191,6 +192,11 @@ class TestMrrRuns:
     @example((steep_rows(4), "geometric:0.3", False, 900, 60, 1000, 5))  # one point, at T
     @example((steep_rows(3), "det:40", True, 6050, 1000, 100, 2))  # last run ends at T
     @example((steep_rows(4), "det:3", False, 3000, 1, 50, 5))  # window 1: every run n = 1
+    # aggregated runs are capped at DRAW_CHUNK, not M: all 6 runs exceed M,
+    # the longest is 4096 plays and 2 cross a chunk boundary
+    @example((steep_rows(2), "det:40", True, 12_000, 40, 100, 2))
+    # 10 runs, all longer than M, 2 across a chunk boundary
+    @example((steep_rows(3), "geometric:0.05", True, 10_000, 40, 100, 2))
     def test_matches_per_step_reference(self, table_spec, case):
         rows, law, aggregated, horizon, window, stride, seed = case
         matrix = validate_matrix(rows)
@@ -241,6 +247,50 @@ class TestMrrRuns:
             tracemalloc.stop()
         assert trace.active == (0,)
         assert peak <= 1.5 * 0.17 * 2**20
+
+    def test_aggregated_sole_survivor_memory_stays_within_draw_chunk(self):
+        # runs of up to DRAW_CHUNK plays peaked at 0.27 MiB on this
+        # configuration (CPython 3.11, numpy 2.4); an aggregated run holds
+        # numpy arrays of at most DRAW_CHUNK plays, so the peak does not grow with T
+        config = ExperimentConfig(
+            dataset="arithmetic", policy="mrr-delay", delay="det:5", horizon=200_000,
+            aggregated=True,
+        )
+        matrix = validate_matrix(steep_rows(5))
+        run_one(config, 11, matrix=matrix)  # one-time allocations out of the way
+        tracemalloc.start()
+        try:
+            trace = run_one(config, 11, matrix=matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.active == (0,)
+        assert peak <= 1.5 * 0.27 * 2**20
+
+    @pytest.mark.parametrize("aggregated, cap", [(False, 50), (True, DRAW_CHUNK)])
+    def test_run_limit_is_window_or_draw_chunk(self, aggregated, cap):
+        config = ExperimentConfig(
+            dataset="arithmetic", policy="mrr-delay", delay="det:5", horizon=20_000,
+            window=50, aggregated=aggregated,
+        )
+        limits = []
+
+        def factory(matrix, rng):
+            policy = make_policy(
+                "mrr-delay", k=matrix.k, horizon=config.horizon,
+                delay=config.delay_distribution(), aggregated=aggregated,
+            )
+            select_run = policy.select_run
+
+            def recording(t, limit):
+                limits.append(limit)
+                return select_run(t, limit)
+
+            policy.select_run = recording
+            return policy
+
+        run_one(config, 11, matrix=validate_matrix(steep_rows(3)), policy_factory=factory)
+        assert max(limits) == cap  # every run may use the whole cap, none more
 
 
 class TestRunMany:
