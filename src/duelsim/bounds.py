@@ -3,8 +3,8 @@
 All calculators are pure functions of their inputs and use the natural
 logarithm.  Logarithms that would go negative at small arguments are
 floored at zero so every radical stays real; callers relying on the
-asymptotic regime are unaffected.  An argument outside its DOMAINS entry,
-or a result that overflows, fails with a one-line ValueError.
+asymptotic regime are unaffected.  An argument outside its COUNTS or
+DOMAINS entry, or a result that overflows, fails with a one-line ValueError.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ import math
 import numbers
 from dataclasses import dataclass
 
+# count argument -> (name in errors, least value)
+COUNTS = {"k": ("K", 2), "t_horizon": ("T", 1), "m": ("round index", 1), "m_window": ("window M", 1)}
 # argument -> (name in errors, domain in words, membership test)
 DOMAINS = {
-    "k": ("K", ">= 2", lambda x: x >= 2),
-    "t_horizon": ("T", ">= 1", lambda x: x >= 1),
-    "m": ("round index", ">= 1", lambda x: x >= 1),
-    "m_window": ("window M", ">= 1", lambda x: x >= 1),
     "alpha": ("alpha", "finite and > 1/2", lambda x: 0.5 < x < math.inf),
     "delta": ("delta", "in (0, 1]", lambda x: 0.0 < x <= 1.0),
     "tau_1": ("tau_1", "in (0, 1]", lambda x: 0.0 < x <= 1.0),
@@ -29,23 +27,29 @@ DOMAINS = {
     "mean_delay": ("mean delay", "finite and >= 0", lambda x: 0.0 <= x < math.inf),
     "gaps": ("gaps", "in (0, 1/2]", lambda gaps: all(0.0 < g <= 0.5 for g in gaps)),
 }
-COUNTS = ("k", "t_horizon", "m", "m_window")  # int or numpy integer, never bool
+
+
+def check_count(name: str, x, low: int) -> int:
+    """x as an int: the library's one count rule (an int or numpy integer, never bool, >= low)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer >= {low}, got {x}")
+    if x < low:
+        raise ValueError(f"{name} must be >= {low}, got {x}")
+    return int(x)
 
 
 def _check_domains(arguments: dict) -> None:
+    for arg, (name, low) in COUNTS.items():
+        if arg in arguments:
+            check_count(name, arguments[arg], low)
     for arg, (name, domain, inside) in DOMAINS.items():
-        if arg not in arguments:
-            continue
-        x = arguments[arg]
-        if arg in COUNTS and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
-            raise ValueError(f"{name} must be an integer {domain}, got {x}")
-        if not inside(x):
-            raise ValueError(f"{name} must be {domain}, got {x}")
+        if arg in arguments and not inside(arguments[arg]):
+            raise ValueError(f"{name} must be {domain}, got {arguments[arg]}")
 
 
 def _calculator(function):
-    """function with its arguments checked against DOMAINS; a result that
-    overflows (inf, nan or a float error on the way) fails with one line."""
+    """function with its arguments checked against COUNTS and DOMAINS; a
+    result that overflows (inf, nan or a float error on the way) fails with one line."""
     signature = inspect.signature(function)
 
     @functools.wraps(function)

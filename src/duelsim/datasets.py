@@ -10,6 +10,7 @@ from importlib import resources
 
 import numpy as np
 
+from .bounds import check_count
 from .environment import PreferenceMatrix, validate_matrix
 from .errors import MatrixParseError
 
@@ -30,7 +31,7 @@ def arithmetic_matrix(k: int) -> PreferenceMatrix:
     Entries are built as exact fortieths so a 6-decimal CSV round-trip
     reproduces them bit for bit.
     """
-    if not 2 <= k <= 21:
+    if check_count("arm count", k, 2) > 21:
         raise ValueError(f"arm count must be in [2, 21] to keep entries in [0, 1], got {k}")
     idx = np.arange(k)
     mu = (20.0 + (idx[None, :] - idx[:, None])) / 40.0
@@ -47,11 +48,10 @@ def hard_instance_pair(
     against the field and by delta against arm 0.  k_star is a parameter
     because the adversarial choice depends on the algorithm under test.
     """
-    if k < 3:
-        raise ValueError(f"need at least 3 arms, got {k}")
+    check_count("K", k, 3)
     if not 0.0 < delta <= 0.125:
         raise ValueError(f"delta must lie in (0, 1/8], got {delta}")
-    if not 1 <= k_star < k:
+    if check_count("k_star", k_star, 1) >= k:
         raise ValueError(f"k_star must be a suboptimal arm in [1, {k - 1}], got {k_star}")
 
     mu1 = np.full((k, k), 0.5)
@@ -75,15 +75,11 @@ def load_matrix_csv(path) -> PreferenceMatrix:
     if not lines:
         raise MatrixParseError(f"{path}: empty matrix file")
     rows = []
-    width = None
+    width = lines[0].count(",") + 1
     for r, line in enumerate(lines):
         cells = [c.strip() for c in line.split(",")]
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise MatrixParseError(
-                f"{path}: row {r} has {len(cells)} columns, expected {width}"
-            )
+        if len(cells) != width:
+            raise MatrixParseError(f"{path}: row {r} has {len(cells)} columns, expected {width}")
         row = []
         for c, cell in enumerate(cells):
             try:
@@ -106,8 +102,7 @@ def save_matrix_csv(matrix: PreferenceMatrix, path) -> None:
 def builtin(name: str) -> PreferenceMatrix:
     """Load one of the named built-in matrices."""
     if name not in BUILTIN_SPECS:
-        known = ", ".join(sorted(BUILTIN_SPECS))
-        raise KeyError(f"unknown dataset {name!r}; built-ins are: {known}")
+        raise KeyError(_unknown(name))
     k, filename = BUILTIN_SPECS[name]
     ref = resources.files("duelsim.data").joinpath(filename)
     with resources.as_file(ref) as path:
@@ -117,11 +112,18 @@ def builtin(name: str) -> PreferenceMatrix:
     return matrix
 
 
+def _unknown(name: str, reason: str = "") -> str:
+    return f"unknown dataset {name!r}{reason}; built-ins are: {', '.join(sorted(BUILTIN_SPECS))}"
+
+
 def resolve(spec: str) -> PreferenceMatrix:
     """Dataset by built-in name, or by path to a CSV file."""
     if spec in BUILTIN_SPECS:
         return builtin(spec)
-    return load_matrix_csv(spec)
+    try:
+        return load_matrix_csv(spec)
+    except FileNotFoundError:
+        raise ValueError(_unknown(spec, " is neither a built-in nor a file")) from None
 
 
 def list_builtin() -> list[tuple[str, int]]:

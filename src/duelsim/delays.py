@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import check_count
+
 MAX_DELAY = 2**62  # longest delay: s + d stays within int64 for every step s < 2**62
 
 
 def _validate_positive_int(name: str, value: int) -> int:
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    if value > MAX_DELAY:
+    if check_count(name, value, 1) > MAX_DELAY:
         raise ValueError(f"{name} must be at most 2**62, got {value!r}")
     return int(value)
 

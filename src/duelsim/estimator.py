@@ -41,6 +41,7 @@ import math
 
 import numpy as np
 
+from .bounds import check_count
 from .errors import NoData, OutOfOrder, UnknownPlay
 
 
@@ -48,20 +49,13 @@ class DelayCorrectedEstimator:
     """Maintains N, Ntilde and S for all arm pairs under a censoring window."""
 
     def __init__(self, k: int, m_window: int, tau_table: np.ndarray):
-        if k < 1:
-            raise ValueError("need at least one arm")
-        if m_window < 1:
-            raise ValueError("censoring window must be >= 1")
+        check_count("K", k, 1)
+        check_count("window M", m_window, 1)
         tau_table = np.asarray(tau_table, dtype=np.float64)
         if tau_table.shape != (m_window + 1,):
-            raise ValueError(
-                f"tau table must have length m_window+1={m_window + 1}, "
-                f"got {tau_table.shape}"
-            )
-        if tau_table[0] != 0.0:
-            raise ValueError("tau table must start at tau(0) = 0")
-        if np.any(np.diff(tau_table) < 0) or tau_table[-1] > 1.0:
-            raise ValueError("tau table must be non-decreasing within [0, 1]")
+            raise ValueError(f"tau table shape must be ({m_window + 1},), got {tau_table.shape}")
+        if tau_table[0] != 0.0 or np.any(np.diff(tau_table) < 0) or tau_table[-1] > 1.0:
+            raise ValueError("tau table must be a CDF: tau(0) = 0, non-decreasing, at most 1")
         self.k = k
         self.m_window = m_window
         self.tau = tau_table

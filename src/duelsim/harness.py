@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from . import datasets
+from . import bounds, datasets
 from .delays import DelayDistribution, parse_delay_spec
 from .environment import DRAW_CHUNK, DuelingEnvironment, PreferenceMatrix
 from .policies import make_policy
@@ -40,10 +40,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.horizon < 1 or self.runs < 1 or self.workers < 1:
-            raise ValueError("horizon, runs and workers must be >= 1")
-        if self.window < 1 or self.trace_stride < 1:
-            raise ValueError("window and trace_stride must be >= 1")
+        for name in ("horizon", "runs", "window", "trace_stride", "workers"):
+            bounds.check_count(name, getattr(self, name), 1)
+        bounds.check_count("base_seed", self.base_seed, 0)
         if not isinstance(self.delay, str):
             forms = "geometric:<p> | det:<d> | uniform:<lo>,<hi> | table:<file>"
             raise ValueError(f"delay must be a spec string {forms}, got {self.delay!r}")

@@ -1,17 +1,25 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from duelsim import (
     BoundInputs,
+    DelayCorrectedEstimator,
+    ExperimentConfig,
+    arithmetic_matrix,
     c_delta,
+    deterministic,
+    geometric,
+    hard_instance_pair,
     lower_bound_value,
     mrr_expected_bound,
     n_schedule,
     n_schedule_aggregated,
     rucb_delay_expected_bound,
+    uniform_delay,
 )
 
 # ---------------------------------------------------------------------------
@@ -444,3 +452,59 @@ class TestRobustness:
     def test_numpy_integer_counts_accepted(self):
         assert n_schedule(np.int64(1), np.int32(200_000), 100.0) == n_schedule(1, 200_000, 100.0)
         assert c_delta(1.0, np.int64(1000), np.int64(6), 0.1) == c_delta(1.0, 1000, 6, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# every count taken from outside follows bounds.check_count
+# ---------------------------------------------------------------------------
+
+
+def _config(policy, **counts):
+    return partial(ExperimentConfig, "arithmetic", policy, **counts)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_config("rucb-baseline", horizon=1000.5), "horizon must be an integer >= 1, got 1000.5"),
+        (_config("rucb-delay", horizon=True), "horizon must be an integer >= 1, got True"),
+        (_config("rucb-delay", trace_stride=10.5), "trace_stride must be an integer >= 1, got 10.5"),
+        (_config("rucb-delay", runs=2.5), "runs must be an integer >= 1, got 2.5"),
+        (_config("rucb-delay", workers=1.5), "workers must be an integer >= 1, got 1.5"),
+        (_config("rucb-delay", base_seed=1.5), "base_seed must be an integer >= 0, got 1.5"),
+        (_config("rucb-delay", base_seed=-1), "base_seed must be >= 0, got -1"),
+        (_config("mrr-delay", window=2.5), "window must be an integer >= 1, got 2.5"),
+        (_config("rucb-delay", window=True), "window must be an integer >= 1, got True"),
+        (partial(deterministic, True), "deterministic delay must be an integer >= 1, got True"),
+        (partial(uniform_delay, True, 3), "uniform lower bound must be an integer >= 1, got True"),
+        (partial(geometric(0.5).tau_table, True), "table length must be an integer >= 1, got True"),
+        (
+            partial(DelayCorrectedEstimator, 2.5, 10, geometric(0.5).tau_table(10)),
+            "K must be an integer >= 1, got 2.5",
+        ),
+        (
+            partial(DelayCorrectedEstimator, 3, True, geometric(0.5).tau_table(1)),
+            "window M must be an integer >= 1, got True",
+        ),
+        (partial(arithmetic_matrix, 2.5), "arm count must be an integer >= 2, got 2.5"),
+        (partial(hard_instance_pair, 3.5, 0.1), "K must be an integer >= 3, got 3.5"),
+        (partial(hard_instance_pair, 4, 0.1, 1.5), "k_star must be an integer >= 1, got 1.5"),
+    ],
+    ids=[
+        "horizon-float", "horizon-bool", "stride-float", "runs-float", "workers-float",
+        "seed-float", "seed-negative", "window-float", "window-bool", "det-bool",
+        "uniform-bool", "tau-table-bool", "estimator-k-float", "estimator-window-bool",
+        "arithmetic-k-float", "hard-k-float", "hard-k-star-float",
+    ],
+)
+def test_every_count_argument_fails_with_one_line(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_numpy_integer_counts_accepted_outside_the_calculators():
+    config = ExperimentConfig("arithmetic", "rucb-delay", horizon=np.int64(100), runs=np.int32(2))
+    assert (config.horizon, config.runs) == (100, 2)
+    assert deterministic(np.int64(3)).params == (3,)
+    assert geometric(0.5).tau_table(np.int64(4)).shape == (5,)
+    assert DelayCorrectedEstimator(np.int64(3), np.int64(4), geometric(0.5).tau_table(4)).k == 3

@@ -198,6 +198,27 @@ class TestOneLineErrors:
         assert err == f"duelsim: error: {message}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--dataset", "arithmetic", "--seed", "-1"], "base_seed must be >= 0, got -1"),
+            (
+                ["--dataset", "six_rankers"],
+                "unknown dataset 'six_rankers' is neither a built-in nor a file; "
+                "built-ins are: arithmetic, car, mslr, six-rankers, sushi, tennis",
+            ),
+        ],
+        ids=["seed-negative", "dataset-misspelt"],
+    )
+    def test_run_config(self, tmp_path, capsys, argv, message):
+        code, out, err = run_cli(
+            capsys, "run", *argv, "--policy", "rucb-delay", "--T", "50", "--runs", "1",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert err == f"duelsim: error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("calculator", ["n-schedule", "n-schedule-aggregated"])
     @pytest.mark.parametrize("mean", ["inf", "nan"])
     def test_n_schedule_mean_delay(self, capsys, calculator, mean):

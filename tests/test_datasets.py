@@ -141,6 +141,20 @@ class TestBuiltinRegistry:
         with pytest.raises(KeyError):
             builtin("mnist")
 
+    def test_resolve_unknown_name_lists_the_builtins(self):
+        with pytest.raises(ValueError) as info:
+            resolve("six_rankers")
+        assert str(info.value) == (
+            "unknown dataset 'six_rankers' is neither a built-in nor a file; "
+            "built-ins are: arithmetic, car, mslr, six-rankers, sushi, tennis"
+        )
+
+    def test_resolve_keeps_parse_errors_of_an_existing_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0.5,x\n0.5,0.5\n")
+        with pytest.raises(MatrixParseError, match="row 0, column 1"):
+            resolve(str(path))
+
     def test_resolve_name_or_path(self, tmp_path):
         assert resolve("arithmetic").k == 10
         path = tmp_path / "m.csv"

@@ -151,7 +151,7 @@ def test_table_file_with_a_non_number_line_names_the_line(tmp_path):
 @pytest.mark.parametrize(
     "spec, message",
     [
-        ("det:0", "deterministic delay must be an integer >= 1, got 0"),
+        ("det:0", "deterministic delay must be >= 1, got 0"),
         ("geometric:nan", r"geometric parameter must be in \(0, 1\], got nan"),
     ],
 )

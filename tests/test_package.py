@@ -49,6 +49,18 @@ def test_no_errstate_in_src():
     assert users == []
 
 
+def test_integer_type_test_only_in_bounds():
+    """Counts are checked by bounds.check_count alone: no second integer rule may fork
+    from it, as delays and ExperimentConfig once did."""
+    package_dir = Path(duelsim.__file__).parent
+    users = [
+        p.name
+        for p in package_dir.rglob("*.py")
+        if "numbers.Integral" in p.read_text("utf-8") or "np.integer" in p.read_text("utf-8")
+    ]
+    assert users == ["bounds.py"]
+
+
 def test_bench_trace_targets_resolve():
     """Every method the bench tracer wraps still exists; install() skips a missing
     one silently, and its per-layer metric would then read 0."""
