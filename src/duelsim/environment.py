@@ -16,9 +16,9 @@ delay.sample(rng, DRAW_CHUNK) delays, for wins and losses alike.  Play t
 uses element (t-1) % DRAW_CHUNK of chunk (t-1) // DRAW_CHUNK, so a trace
 depends on the plays alone, not on how step and play_run split them.
 
-The environment keeps only the wins that have not been delivered yet,
-keyed by landing step, so its storage is O(pending wins), not O(t).  Each
-step's conversions are handed out once: observing step t removes them.
+The environment keeps only the undelivered wins that can still be observed,
+those landing by horizon + 1, keyed by landing step: O(pending wins), not
+O(t).  Each step's conversions are handed out once: observing t removes them.
 The full censored view Y_{s,t} is the running union of those deliveries.
 Aggregated mode hands out counts only, so it queues a Counter of landing
 steps.
@@ -126,7 +126,7 @@ class DuelingEnvironment:
         matrix: PreferenceMatrix,
         delay: DelayDistribution,
         rng: np.random.Generator,
-        horizon: int | None = None,
+        horizon: int,
         aggregated: bool = False,
     ):
         self.matrix = matrix
@@ -156,7 +156,7 @@ class DuelingEnvironment:
         if not (0 <= u < self.k and 0 <= v < self.k):
             raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
         t = self.t
-        if self.horizon is not None and t > self.horizon:
+        if t > self.horizon:
             raise HorizonExceeded(f"step {t} past horizon {self.horizon}")
         if t - self._start == DRAW_CHUNK:
             self._draw_chunk()
@@ -166,7 +166,7 @@ class DuelingEnvironment:
         x = 1 if self._lists[0][i] < self._mu[u][v] else 0
         d = self._lists[1][i]
         out = PendingOutcome(t, u, v, x, d)
-        if x == 1:
+        if x == 1 and t + d <= self.horizon + 1:  # a later win is never observed
             if self.aggregated:
                 self._landings[t + d] += 1
             else:
@@ -180,7 +180,7 @@ class DuelingEnvironment:
         Returns the conversions landing strictly inside the run, at steps
         t+1..t+n-1, in the order observe_new (a list, by landing step, then
         by play step) or observe_aggregated (a count) would have delivered
-        them over those steps.  Later wins stay queued.
+        them over those steps.  Later wins landing by horizon + 1 stay queued.
         """
         t = self.t
         end = t + n
@@ -188,7 +188,7 @@ class DuelingEnvironment:
             raise ValueError(f"run length must be >= 1, got {n}")
         if not (0 <= u < self.k and 0 <= v < self.k):
             raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
-        if self.horizon is not None and end - 1 > self.horizon:
+        if end - 1 > self.horizon:
             raise HorizonExceeded(f"step {max(t, self.horizon + 1)} past horizon {self.horizon}")
         i = t - self._start
         uniforms, delays = self._uniforms[i : i + n], self._delays[i : i + n]
@@ -205,11 +205,12 @@ class DuelingEnvironment:
         # queued wins landing inside the run, all played before t
         due = [landings.pop(s) for s in [s for s in landings if t < s < end]]
         if self.aggregated:  # an integer sum does not depend on the order
-            late = lands[lands >= n]
-            landings.update((late + t).tolist())
+            late = lands[lands >= n] + t
+            landings.update(late[late <= self.horizon + 1].tolist())
             return sum(due) + wins.size - late.size
         inside = int(np.count_nonzero(lands < n))
-        order = np.argsort(lands, kind="stable")  # by landing step, then play step
+        kept = int(np.count_nonzero(lands <= self.horizon + 1 - t))  # observable wins
+        order = np.argsort(lands, kind="stable")[:kept]  # by landing step, then play step
         plays, win_delays = (wins[order] + t).tolist(), win_delays[order].tolist()
         del uniforms, delays, wins, lands, order  # peak memory: the outcomes, not these arrays
         outs = [PendingOutcome(s, u, v, 1, d) for s, d in zip(plays, win_delays)]

@@ -198,20 +198,19 @@ def write_results(result: AggregateResult, out_dir) -> None:
 
     Output is deterministic byte for byte for a given result.
     """
-    # tolist() gives Python ints and floats, whose repr is that of
-    # float(numpy scalar), so each file is formatted without numpy scalars
-    summary = zip(result.times.tolist(), result.mean.tolist(), result.std.tolist())
-    texts = {"summary.csv": ["t,mean_regret,std_regret\n"], "runs.csv": ["seed,t,regret\n"]}
-    texts["summary.csv"] += [f"{t},{m!r},{s!r}\n" for t, m, s in summary]
+    # built column by column from tolist() values, whose str and repr are those
+    # of the numpy scalars; t is shared by every run, so it is formatted once
+    times = list(map(str, result.times.tolist()))
+    mean, std = map(repr, result.mean.tolist()), map(repr, result.std.tolist())
+    texts = {"summary.csv": ["t,mean_regret,std_regret"], "runs.csv": ["seed,t,regret"]}
+    texts["summary.csv"] += map(",".join, zip(times, mean, std))
     for tr in result.runs:
-        seed = tr.seed
-        texts["runs.csv"] += [
-            f"{seed},{t},{r!r}\n" for t, r in zip(tr.times.tolist(), tr.regret.tolist())
-        ]
+        regret = map(repr, tr.regret.tolist())
+        texts["runs.csv"] += map(",".join, zip([str(tr.seed)] * len(times), times, regret))
     os.makedirs(out_dir, exist_ok=True)
     try:
         for name, lines in texts.items():
             with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("".join(lines))
+                fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"writing results under {out_dir}: {exc}") from exc

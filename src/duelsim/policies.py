@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import n_schedule, n_schedule_aggregated
+from .bounds import DOMAINS, n_schedule, n_schedule_aggregated
 from .estimator import DelayCorrectedEstimator, corrected_bounds
 
 
@@ -192,8 +192,9 @@ class RrDbDelay:
     name = "rrdb-delay"
 
     def __init__(self, k: int, *, window: int, tau_table: np.ndarray, delta: float):
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        name, domain, inside = DOMAINS["delta"]  # the calculators' rule
+        if not inside(delta):
+            raise ValueError(f"{name} must be {domain}, got {delta}")
         self.k = k
         self.delta = delta
         self.est = DelayCorrectedEstimator(k, window, tau_table)

@@ -46,7 +46,9 @@ def reference_champion_pair(ucb, best, rng):
 
 def classical_rucb_actions(matrix, horizon, seed, alpha=1.0):
     env_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
-    env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(env_seq))
+    env = DuelingEnvironment(
+        matrix, deterministic(1), np.random.default_rng(env_seq), horizon=horizon
+    )
     rng = np.random.default_rng(pol_seq)
     k = matrix.k
     wins = np.zeros((k, k))

@@ -144,7 +144,7 @@ def test_criterion_3_no_delay_reduction():
     horizon, seed = 5000, 20240
     unit = deterministic(1)
     env_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
-    env = DuelingEnvironment(matrix, unit, np.random.default_rng(env_seq))
+    env = DuelingEnvironment(matrix, unit, np.random.default_rng(env_seq), horizon=horizon)
     policy = RucbDelay(
         5,
         alpha=1.0,

@@ -187,6 +187,10 @@ class TestOneLineErrors:
             ),
             (["--policy", "rucb-delay", "--alpha", "inf"], "alpha must be >= 1, got inf"),
             (["--policy", "rucb-baseline", "--alpha", "inf"], "alpha must exceed 1/2, got inf"),
+            *(
+                (["--policy", "rrdb-delay", "--delta", d], f"delta must be in (0, 1], got {d}")
+                for d in ("0.0", "-1.0", "1.5", "nan")
+            ),
         ],
     )
     def test_run(self, tmp_path, capsys, argv, message):
@@ -369,6 +373,15 @@ class TestRunCommand:
         assert err == (
             "duelsim: error: delta 1e-320 too small: K*T/delta overflows for K=10, T=50\n"
         )
+
+    @pytest.mark.parametrize("argv", [["--T", "1"], ["--T", "50", "--delta", "1"]])
+    def test_rrdb_delay_accepts_delta_one(self, tmp_path, capsys, argv):
+        # the default delta is 1/T, so T = 1 gives delta = 1, inside (0, 1]
+        code, _, err = run_cli(
+            capsys, "run", "--dataset", "mslr", "--policy", "rrdb-delay", *argv, "--runs", "1",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 0, err
 
     def test_aggregated_mrr_runs(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from duelsim import (
     DuelingEnvironment,
     ExperimentConfig,
+    PendingOutcome,
     PolicyAction,
     arithmetic_matrix,
     builtin,
@@ -93,12 +94,14 @@ class TestEnvStep:
         mu[0, 1], mu[1, 0] = 1.0, 0.0
         mu[0, 2], mu[2, 0] = 0.9, 0.1
         mu[1, 2], mu[2, 1] = 0.6, 0.4
-        env = DuelingEnvironment(validate_matrix(mu), deterministic(1), np.random.default_rng(2))
+        env = DuelingEnvironment(
+            validate_matrix(mu), deterministic(1), np.random.default_rng(2), horizon=200
+        )
         assert all(env.step(0, 1).x == 1 for _ in range(200))
 
     def test_win_frequency_matches_probability(self):
         env = DuelingEnvironment(
-            arithmetic_matrix(10), geometric(0.01), np.random.default_rng(3)
+            arithmetic_matrix(10), geometric(0.01), np.random.default_rng(3), horizon=20000
         )
         wins = sum(env.step(0, 9).x for _ in range(20000))
         assert wins / 20000 == pytest.approx(0.725, abs=0.01)
@@ -113,12 +116,16 @@ class TestEnvStep:
             env.step(0, 0)
 
     def test_self_comparison_is_fair_coin(self):
-        env = DuelingEnvironment(arithmetic_matrix(5), deterministic(1), np.random.default_rng(4))
+        env = DuelingEnvironment(
+            arithmetic_matrix(5), deterministic(1), np.random.default_rng(4), horizon=20000
+        )
         wins = sum(env.step(2, 2).x for _ in range(20000))
         assert wins / 20000 == pytest.approx(0.5, abs=0.012)
 
     def test_outcome_and_delay_independent(self):
-        env = DuelingEnvironment(arithmetic_matrix(5), geometric(0.2), np.random.default_rng(5))
+        env = DuelingEnvironment(
+            arithmetic_matrix(5), geometric(0.2), np.random.default_rng(5), horizon=20000
+        )
         outs = [env.step(0, 1) for _ in range(20000)]
         x = np.array([o.x for o in outs], dtype=float)
         d = np.array([o.d for o in outs], dtype=float)
@@ -134,7 +141,9 @@ class TestObservation:
     def test_loss_never_visible(self):
         mu = np.full((2, 2), 0.5)
         mu[0, 1], mu[1, 0] = 1.0, 0.0
-        env = DuelingEnvironment(validate_matrix(mu), deterministic(2), np.random.default_rng(0))
+        env = DuelingEnvironment(
+            validate_matrix(mu), deterministic(2), np.random.default_rng(0), horizon=29
+        )
         outs = [env.step(1, 0)]  # x = 0 surely
         for t in range(2, 30):
             outs.append(env.step(1, 0))
@@ -144,7 +153,9 @@ class TestObservation:
         # play at s=10 with delay 2 becomes visible exactly at t=12
         mu = np.full((2, 2), 0.5)
         mu[0, 1], mu[1, 0] = 1.0, 0.0
-        env = DuelingEnvironment(validate_matrix(mu), deterministic(2), np.random.default_rng(1))
+        env = DuelingEnvironment(
+            validate_matrix(mu), deterministic(2), np.random.default_rng(1), horizon=12
+        )
         outs = [env.step(1, 0) for _ in range(9)]  # losses, invisible
         out = env.step(0, 1)
         assert out.s == 10 and out.x == 1 and out.d == 2
@@ -154,13 +165,17 @@ class TestObservation:
         assert env.observe_new(11) == [] and env.observe_new(12) == [out]
 
     def test_unit_delay_reveals_everything_next_step(self):
-        env = DuelingEnvironment(arithmetic_matrix(5), deterministic(1), np.random.default_rng(2))
+        env = DuelingEnvironment(
+            arithmetic_matrix(5), deterministic(1), np.random.default_rng(2), horizon=50
+        )
         outs = [env.step(0, 1) for _ in range(50)]
         view = dict(censored_view(outs, 51))
         assert view == {o.s: o.x for o in outs}
 
     def test_visibility_monotone_and_bounded_by_outcome(self):
-        env = DuelingEnvironment(arithmetic_matrix(5), geometric(0.3), np.random.default_rng(3))
+        env = DuelingEnvironment(
+            arithmetic_matrix(5), geometric(0.3), np.random.default_rng(3), horizon=40
+        )
         outs = [env.step(0, 1) for _ in range(40)]
         series = {o.s: [] for o in outs}
         for t in range(1, 42):
@@ -176,7 +191,9 @@ class TestObservation:
                 assert all(y == 1 for y in ys[first:])
 
     def test_event_view_interconvertible_with_full_view(self):
-        env = DuelingEnvironment(arithmetic_matrix(5), geometric(0.3), np.random.default_rng(4))
+        env = DuelingEnvironment(
+            arithmetic_matrix(5), geometric(0.3), np.random.default_rng(4), horizon=60
+        )
         outs = [env.step(1, 2) for _ in range(60)]
         landed: set[int] = set()
         for t in range(1, 61):
@@ -185,7 +202,9 @@ class TestObservation:
             assert reconstructed == dict(censored_view(outs, t))
 
     def test_cannot_observe_future(self):
-        env = DuelingEnvironment(arithmetic_matrix(5), deterministic(1), np.random.default_rng(5))
+        env = DuelingEnvironment(
+            arithmetic_matrix(5), deterministic(1), np.random.default_rng(5), horizon=10
+        )
         env.step(0, 1)
         with pytest.raises(ValueError):
             env.observe_new(5)
@@ -203,7 +222,8 @@ class TestDelivery:
         mu = np.full((2, 2), 0.5)
         mu[0, 1], mu[1, 0] = 1.0, 0.0
         return DuelingEnvironment(
-            validate_matrix(mu), delay, np.random.default_rng(0), aggregated=aggregated
+            validate_matrix(mu), delay, np.random.default_rng(0), horizon=5000,
+            aggregated=aggregated,
         )
 
     def test_each_step_delivered_once(self):
@@ -256,19 +276,24 @@ class TestPlayRun:
     }
 
     @staticmethod
-    def _twins(delay, aggregated, seed=3):
+    def _twins(delay, aggregated, horizon, seed=3):
         return [
             DuelingEnvironment(
-                arithmetic_matrix(4), delay, np.random.default_rng(seed), aggregated=aggregated
+                arithmetic_matrix(4), delay, np.random.default_rng(seed), horizon=horizon,
+                aggregated=aggregated,
             )
             for _ in range(2)
         ]
 
+    @pytest.mark.parametrize("cut", [False, True])
     @pytest.mark.parametrize("aggregated", [False, True])
     @pytest.mark.parametrize("law", list(LAWS))
     @pytest.mark.parametrize("n", [1, 3, 250, DRAW_CHUNK + 7])
-    def test_matches_step_calls(self, law, aggregated, n):
-        run_env, step_env = self._twins(self.LAWS[law], aggregated)
+    def test_matches_step_calls(self, law, aggregated, n, cut):
+        # a cut horizon ends at the run's last play, so it cuts through the
+        # landings; otherwise T lies far beyond every landing
+        horizon = 40 + n if cut else 10**6
+        run_env, step_env = self._twins(self.LAWS[law], aggregated, horizon)
         for env in (run_env, step_env):
             observe = env.observe_aggregated if aggregated else env.observe_new
             for t in range(1, 41):  # wins of earlier plays stay queued across the run
@@ -286,6 +311,28 @@ class TestPlayRun:
         assert run_env.t == step_env.t == 41 + n
         assert run_env.rng.bit_generator.state == step_env.rng.bit_generator.state
         assert run_env._landings == step_env._landings
+        if cut:
+            assert max(run_env._landings, default=0) <= horizon + 1
+            last = run_env.observe_aggregated if aggregated else run_env.observe_new
+            assert last(horizon + 1) == self._landing_at(law, aggregated, n, horizon + 1)
+
+    def _landing_at(self, law, aggregated, n, step):
+        """The wins of test_matches_step_calls' plays landing exactly at step,
+        from the drawn chunks, as in TestDrawContract.test_chunk_layout."""
+        ref = np.random.default_rng(3)
+        uniforms, delays = [], []
+        for _ in range(2):  # at most 40 + DRAW_CHUNK + 7 plays
+            uniforms.append(ref.random(DRAW_CHUNK))
+            delays.append(self.LAWS[law].sample(ref, DRAW_CHUNK))
+        uniforms, delays = np.concatenate(uniforms).tolist(), np.concatenate(delays).tolist()
+        mu = arithmetic_matrix(4).mu
+        pairs = [(s % 4, (s + 1) % 4) for s in range(1, 41)] + [(2, 0)] * n
+        wins = [
+            PendingOutcome(s, u, v, 1, delays[s - 1])
+            for s, (u, v) in enumerate(pairs, 1)
+            if uniforms[s - 1] < mu[u, v] and s + delays[s - 1] == step
+        ]
+        return len(wins) if aggregated else wins
 
     @pytest.mark.parametrize("aggregated", [False, True])
     def test_longest_delays_never_land_inside_a_run(self, aggregated):
@@ -293,7 +340,8 @@ class TestPlayRun:
         # around in play_run, which then delivered wins that step never does
         run_env, step_env = (
             DuelingEnvironment(
-                builtin("mslr"), geometric(1e-300), np.random.default_rng(0), aggregated=aggregated
+                builtin("mslr"), geometric(1e-300), np.random.default_rng(0), horizon=1000,
+                aggregated=aggregated,
             )
             for _ in range(2)
         )
@@ -306,13 +354,13 @@ class TestPlayRun:
             step_env.step(0, 1)
         assert got == want == (0 if aggregated else [])
         assert run_env._landings == step_env._landings
-        assert pending_wins(run_env) > 0  # the wins are queued, far past any horizon
+        assert pending_wins(run_env) == 0  # the wins land far past T + 1: none is queued
 
     def test_long_run_leaves_only_late_wins_queued(self):
         mu = np.full((2, 2), 0.5)
         mu[0, 1], mu[1, 0] = 1.0, 0.0  # every play wins
-        env = DuelingEnvironment(
-            validate_matrix(mu), deterministic(100), np.random.default_rng(0)
+        env = DuelingEnvironment(  # every late win lands by T + 1
+            validate_matrix(mu), deterministic(100), np.random.default_rng(0), horizon=1100
         )
         inside = env.play_run(0, 1, 1000)
         assert [o.s for o in inside] == list(range(1, 901))  # land at 101..1000
@@ -321,8 +369,9 @@ class TestPlayRun:
     def test_aggregated_long_run_returns_a_count(self):
         mu = np.full((2, 2), 0.5)
         mu[0, 1], mu[1, 0] = 1.0, 0.0  # every play wins
-        env = DuelingEnvironment(
-            validate_matrix(mu), deterministic(100), np.random.default_rng(0), aggregated=True
+        env = DuelingEnvironment(  # every late win lands by T + 1
+            validate_matrix(mu), deterministic(100), np.random.default_rng(0), horizon=1100,
+            aggregated=True,
         )
         inside = env.play_run(0, 1, 1000)
         assert type(inside) is int and inside == 900
@@ -378,7 +427,7 @@ class TestDrawContract:
         ref, env = (
             DuelingEnvironment(
                 arithmetic_matrix(4), SPLIT_LAWS[law], np.random.default_rng(7),
-                aggregated=aggregated,
+                horizon=2 * DRAW_CHUNK, aggregated=aggregated,
             )
             for _ in range(2)
         )
@@ -408,7 +457,9 @@ class TestDrawContract:
     def test_chunk_layout(self):
         # the first chunk is drawn at the first play, not at construction
         p = 0.05
-        env = DuelingEnvironment(arithmetic_matrix(4), geometric(p), np.random.default_rng(5))
+        env = DuelingEnvironment(
+            arithmetic_matrix(4), geometric(p), np.random.default_rng(5), horizon=2 * DRAW_CHUNK
+        )
         ref = np.random.default_rng(5)
         assert env.rng.bit_generator.state == ref.bit_generator.state
         mu = env.matrix.mu
@@ -424,11 +475,14 @@ class TestDrawContract:
 class TestAggregatedMode:
     def _env(self, seed=0):
         return DuelingEnvironment(
-            arithmetic_matrix(5), deterministic(2), np.random.default_rng(seed), aggregated=True
+            arithmetic_matrix(5), deterministic(2), np.random.default_rng(seed), horizon=300,
+            aggregated=True,
         )
 
     def test_mode_mismatch_both_ways(self):
-        std = DuelingEnvironment(arithmetic_matrix(5), deterministic(2), np.random.default_rng(0))
+        std = DuelingEnvironment(
+            arithmetic_matrix(5), deterministic(2), np.random.default_rng(0), horizon=1
+        )
         with pytest.raises(ModeMismatch):
             std.observe_aggregated(1)
         agg = self._env()
@@ -440,7 +494,8 @@ class TestAggregatedMode:
         mu = np.full((2, 2), 0.5)
         mu[0, 1], mu[1, 0] = 1.0, 0.0
         env = DuelingEnvironment(
-            validate_matrix(mu), deterministic(2), np.random.default_rng(1), aggregated=True
+            validate_matrix(mu), deterministic(2), np.random.default_rng(1), horizon=3,
+            aggregated=True,
         )
         env.step(0, 1)  # s=1 wins, lands at 3
         env.step(0, 1)  # s=2 wins, lands at 4
@@ -464,7 +519,8 @@ class TestAggregatedMode:
         mu = np.full((2, 2), 0.5)
         mu[0, 1], mu[1, 0] = 1.0, 0.0
         env = DuelingEnvironment(
-            validate_matrix(mu), ScriptedDelay(), np.random.default_rng(0), aggregated=True
+            validate_matrix(mu), ScriptedDelay(), np.random.default_rng(0), horizon=2,
+            aggregated=True,
         )
         env.step(0, 1)
         env.step(0, 1)

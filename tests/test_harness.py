@@ -9,6 +9,7 @@ from duelsim import (
     DuelingEnvironment,
     ExperimentConfig,
     PolicyAction,
+    builtin,
     geometric,
     make_policy,
     run_many,
@@ -266,6 +267,27 @@ class TestMrrRuns:
             tracemalloc.stop()
         assert trace.active == (0,)
         assert peak <= 1.5 * 0.27 * 2**20
+
+    @pytest.mark.parametrize("aggregated, det_100_peak", [(False, 0.25), (True, 0.19)])
+    def test_wins_landing_after_the_horizon_are_not_queued(self, aggregated, det_100_peak):
+        # under det:100 this configuration peaked at det_100_peak MiB (CPython
+        # 3.11, numpy 2.4); under det:10**6 every win lands after T + 1, where
+        # no call can observe it, so none is queued and the peak stays near
+        # that (queueing them took 7.8 MiB standard and 2.8 MiB aggregated)
+        config = ExperimentConfig(
+            dataset="sushi", policy="mrr-delay", delay="det:1000000", horizon=50_000,
+            aggregated=aggregated,
+        )
+        matrix = builtin("sushi")
+        run_one(config, 0, matrix=matrix)  # one-time allocations out of the way
+        tracemalloc.start()
+        try:
+            trace = run_one(config, 0, matrix=matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.active == tuple(range(matrix.k))  # no win is ever seen
+        assert peak <= 2 * det_100_peak * 2**20
 
     @pytest.mark.parametrize("aggregated, cap", [(False, 50), (True, DRAW_CHUNK)])
     def test_run_limit_is_window_or_draw_chunk(self, aggregated, cap):

@@ -1,13 +1,17 @@
+import argparse
 import ast
 import importlib.util
 import inspect
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import duelsim
-from duelsim import errors
+from duelsim import cli, errors
 
 
 def test_all_names_resolve_without_duplicates():
@@ -87,3 +91,42 @@ def test_import_leaves_the_process_pool_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"
+
+
+def readme_cli_commands():
+    """(argv, shown) for each `duelsim ...` command in README's bash block under
+    `## CLI`, continuations joined; shown is the output after `# ->`, else None."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("\n```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, arrow, shown = line.partition("# ->")
+        if command.startswith("duelsim "):
+            commands.append((shlex.split(command)[1:], shown.strip() if arrow else None))
+    return commands
+
+
+def flags_of(parser, argv):
+    """The option strings of the (sub)command that argv names."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction) and argv[0] in action.choices:
+            return flags_of(action.choices[argv[0]], argv[1:])
+    return {flag for action in parser._actions for flag in action.option_strings}
+
+
+def test_readme_cli_block_is_checked(capsys):
+    """Every README CLI command parses (argparse exits 2 on an unknown flag) and
+    spells each flag in full, since argparse also takes the prefix of a renamed
+    flag; the one that shows its output prints exactly that."""
+    commands = readme_cli_commands()
+    assert len(commands) == 8
+    for argv, _ in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: duelsim {shlex.join(argv)}")
+        used = {word for word in argv if word.startswith("--")}
+        assert used <= flags_of(cli.build_parser(), argv), shlex.join(argv)
+    ((argv, out),) = [(argv, out) for argv, out in commands if out is not None]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out + "\n"

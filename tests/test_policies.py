@@ -32,7 +32,7 @@ from test_harness import steep_rows
 
 def run_actions(matrix, delay, policy, horizon):
     """Drive a policy against a fresh environment, mirroring the harness loop."""
-    env = DuelingEnvironment(matrix, delay, np.random.default_rng(12345))
+    env = DuelingEnvironment(matrix, delay, np.random.default_rng(12345), horizon=horizon)
     actions = []
     for t in range(1, horizon + 1):
         policy.observe(t, env.observe_new(t))
@@ -113,7 +113,9 @@ class TestRucbDelaySelection:
 
     def test_best_set_at_most_one(self):
         pol = fresh_policy("rucb-delay", k=4, seed=2)
-        env = DuelingEnvironment(arithmetic_matrix(4), geometric(0.1), np.random.default_rng(7))
+        env = DuelingEnvironment(
+            arithmetic_matrix(4), geometric(0.1), np.random.default_rng(7), horizon=799
+        )
         for t in range(1, 800):
             pol.observe(t, env.observe_new(t))
             a = pol.select(t)
@@ -148,7 +150,9 @@ class TestRucbDelaySelection:
         matrix = arithmetic_matrix(3)
         seed = 4242
         env_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
-        env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(env_seq))
+        env = DuelingEnvironment(
+            matrix, deterministic(1), np.random.default_rng(env_seq), horizon=400
+        )
         pol = RucbDelay(
             3,
             alpha=1.0,
@@ -212,7 +216,9 @@ class TestRucbBaseline:
         matrix = arithmetic_matrix(3)
         seed = 99
         env_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
-        env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(env_seq))
+        env = DuelingEnvironment(
+            matrix, deterministic(1), np.random.default_rng(env_seq), horizon=400
+        )
         pol = RucbBaseline(3, alpha=1.0, rng=np.random.default_rng(pol_seq))
         mine = []
         for t in range(1, 401):
@@ -296,6 +302,14 @@ class TestRrDbDelay:
         assert pol._sweep is sweep and pol._sweep == pol._build_sweep()
         assert second == first
 
+    def test_delta_takes_the_calculators_domain(self):
+        # delta = 1 (the default 1/T at T = 1) is inside bounds.DOMAINS' (0, 1]
+        tau = deterministic(1).tau_table(5)
+        assert RrDbDelay(3, window=5, tau_table=tau, delta=1.0).delta == 1.0
+        for delta in (0.0, -1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=rf"^delta must be in \(0, 1\], got {delta}$"):
+                RrDbDelay(3, window=5, tau_table=tau, delta=delta)
+
     def test_delta_overflowing_log_term_rejected_when_built_directly(self):
         # make_policy knows T and rejects such a delta up front; a directly
         # built policy finds out at its first elimination
@@ -360,7 +374,7 @@ class TestRrDbDelay:
         mu[1, 2], mu[2, 1] = 0.6, 0.4
         matrix = validate_matrix(mu)
         pol = RrDbDelay(3, window=10, tau_table=deterministic(1).tau_table(10), delta=0.05)
-        env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(17))
+        env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(17), horizon=2999)
         eliminated_ever: set[int] = set()
         for t in range(1, 3000):
             pol.observe(t, env.observe_new(t))
@@ -478,7 +492,7 @@ class TestMrrDbDelay:
         mu[1, 2], mu[2, 1] = 0.6, 0.4
         matrix = validate_matrix(mu)
         pol = self.make(k=3, n_target=40)
-        env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(23))
+        env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(23), horizon=3999)
         for t in range(1, 4000):
             pol.observe(t, env.observe_new(t))
             a = pol.select(t)
