@@ -20,14 +20,13 @@ The environment keeps only the undelivered wins that can still be observed,
 those landing by horizon + 1, keyed by landing step: O(pending wins), not
 O(t).  Each step's conversions are handed out once: observing t removes them.
 The full censored view Y_{s,t} is the running union of those deliveries.
-Aggregated mode hands out counts only, so it queues a Counter of landing
-steps.
+Aggregated mode hands out counts only, so it queues one sorted int64 array
+of landing steps, one entry per win, and counts a step's wins with
+searchsorted.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,9 +137,10 @@ class DuelingEnvironment:
         # nested lists: one Python float read per step, no numpy scalar
         self._mu: list[list[float]] = matrix.mu.tolist()
         self.t = 1  # next step to play
-        # undelivered wins by landing step: the outcomes, or their count if aggregated
-        self._landings: dict[int, list[PendingOutcome]] | Counter[int]
-        self._landings = Counter() if aggregated else {}
+        # undelivered wins: the outcomes by landing step, or if aggregated
+        # the sorted landing steps, one per win
+        self._landings: dict[int, list[PendingOutcome]] | np.ndarray
+        self._landings = np.empty(0, dtype=np.int64) if aggregated else {}
         self._start = 1 - DRAW_CHUNK  # first step of the drawn chunk; none drawn yet
         self._uniforms = self._delays = np.empty(0, dtype=np.int64)  # int64 keeps delays integral
         self._lists: tuple[list[float], list[int]] | None = None  # step's copy of the chunk
@@ -167,8 +167,10 @@ class DuelingEnvironment:
         d = self._lists[1][i]
         out = PendingOutcome(t, u, v, x, d)
         if x == 1 and t + d <= self.horizon + 1:  # a later win is never observed
-            if self.aggregated:
-                self._landings[t + d] += 1
+            if self.aggregated:  # np.insert takes 4x as long
+                queue = self._landings
+                j = int(queue.searchsorted(t + d, "right"))
+                self._landings = np.concatenate((queue[:j], [t + d], queue[j:]))
             else:
                 self._landings.setdefault(t + d, []).append(out)
         self.t = t + 1
@@ -198,16 +200,27 @@ class DuelingEnvironment:
             uniforms = np.concatenate((uniforms, self._uniforms[:rest]))
             delays = np.concatenate((delays, self._delays[:rest]))
         wins = (uniforms < self._mu[u][v]).nonzero()[0]  # steps after t
-        win_delays = delays[wins]
+        win_delays = delays.take(wins)
         lands = wins + win_delays  # landing steps, less t
         self.t = end
-        landings = self._landings
-        # queued wins landing inside the run, all played before t
-        due = [landings.pop(s) for s in [s for s in landings if t < s < end]]
         if self.aggregated:  # an integer sum does not depend on the order
-            late = lands[lands >= n] + t
-            landings.update(late[late <= self.horizon + 1].tolist())
-            return sum(due) + wins.size - late.size
+            late = lands[lands >= n]
+            due = self._pop_landings(t + 1, end)  # queued wins, all played before t
+            if late.size:
+                late += t
+                queue = np.concatenate((self._landings, late))
+                queue.sort(kind="stable")  # one linear pass when they arrive in order
+                if queue[-1] > self.horizon + 1:  # those wins are never observed
+                    queue = queue[: queue.searchsorted(self.horizon + 1, "right")]
+                self._landings = queue
+            return due + wins.size - late.size
+        # queued wins landing inside the run, all played before t: visit the
+        # run's steps or the queued ones, whichever are fewer
+        landings = self._landings
+        if n - 1 < len(landings):
+            due = [landings.pop(s) for s in range(t + 1, end) if s in landings]
+        else:
+            due = [landings.pop(s) for s in [s for s in landings if t < s < end]]
         inside = int(np.count_nonzero(lands < n))
         kept = int(np.count_nonzero(lands <= self.horizon + 1 - t))  # observable wins
         order = np.argsort(lands, kind="stable")[:kept]  # by landing step, then play step
@@ -217,8 +230,10 @@ class DuelingEnvironment:
         for o in outs[inside:]:
             landings.setdefault(o.s + o.d, []).append(o)
         # at each landing step the queued wins come before the run's own, as
-        # observe_new delivers them; merge keeps the earlier input first on ties
-        return list(heapq.merge(*due, outs[:inside], key=lambda o: o.s + o.d))
+        # observe_new delivers them: the sort is stable
+        delivered = [o for wins_at in due for o in wins_at] + outs[:inside]
+        delivered.sort(key=lambda o: o.s + o.d)
+        return delivered
 
     def observe_new(self, t: int) -> list[PendingOutcome]:
         """Conversions landing exactly at step t, delivered once.
@@ -236,7 +251,15 @@ class DuelingEnvironment:
         if not self.aggregated:
             raise ModeMismatch("environment is not in aggregated mode")
         self._check_time(t)
-        return self._landings.pop(t, 0)
+        return self._pop_landings(t, t + 1)
+
+    def _pop_landings(self, first: int, end: int) -> int:
+        """Unqueue the aggregated wins landing at steps first..end-1; their count."""
+        queue = self._landings
+        lo, hi = queue.searchsorted((first, end)).tolist()
+        if lo < hi:
+            self._landings = queue[hi:] if lo == 0 else np.concatenate((queue[:lo], queue[hi:]))
+        return hi - lo
 
     def _check_time(self, t: int) -> None:
         if t > self.t:

@@ -7,6 +7,7 @@ for bit and invariant to how the other replications are scheduled.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -73,6 +74,43 @@ class AggregateResult:
     runs: list[RunTrace]
 
 
+def repeated_sum(x: float, c: float, n: int, first: int, stride: int, out: list) -> float:
+    """x after n IEEE additions of c, bit for bit the chain x += c, in O(binades).
+
+    Appends to out the running sums after additions first, first + stride,
+    ... up to n (first >= 1).  Needs x, c >= 0.  While x + c stays below the
+    top of x's binade, every addition lands on the grid of x's ulp q, so it
+    moves x by the same d = c rounded to that grid: the nearest multiple of
+    q, on a tie the one that leaves x an even multiple, which is the same d
+    for every addition once x is even.  So those sums are x + j*d, exact.  An
+    odd x on a tie and each binade edge take one plain addition.
+    """
+    i = 0
+    while i < n:
+        q = math.ulp(x)  # a power of two, so these quotients are exact
+        units = c / q  # inf for a large c on a tiny x: it leaves the binade at once
+        if units < 2**53:
+            whole, step = int(units), round(units)  # round: half to even
+            ticks = int(x / q)
+            room = 2**53 - 1 - ticks - whole  # >= 0 iff x + c stays below the binade top
+            if room >= 0 and not (units - whole == 0.5 and ticks % 2):
+                m = n - i if step == 0 else min(n - i, room // step + 1)  # additions in binade
+                d = step * q
+                if first - i <= m:
+                    js = np.arange(first - i, m + 1, stride)
+                    out += (x + js * d).tolist()
+                    first += js.size * stride
+                x += m * d
+                i += m
+                continue
+        x += c
+        i += 1
+        if i == first:
+            out.append(x)
+            first += stride
+    return x
+
+
 def run_one(
     config: ExperimentConfig,
     seed: int,
@@ -87,8 +125,8 @@ def run_one(
     regret accumulates.  A policy with select_run (mrr-delay) may commit a
     run of n plays of one pair: the environment plays them in one play_run
     call, the conversions landing inside the run are fed once, at its last
-    step, and one sequential accumulate charges its regret, bit for bit the
-    per-step sums.  A run is at most the window M in standard mode, where
+    step, and repeated_sum charges its regret once per binade, bit for bit
+    the per-step sums.  A run is at most the window M in standard mode, where
     play_run builds one PendingOutcome per in-run win, and at most
     DRAW_CHUNK plays in aggregated mode, where it returns a count and holds
     only numpy arrays; the cap changes no trace, since the pair order comes
@@ -149,14 +187,10 @@ def run_one(
         else:
             (u, v), n = select_run(t, min(run_cap, horizon + 1 - t))
             feed(t + n - 1, play_run(u, v, n))
-            # accumulate adds left to right, so sums[i] is the running sum
-            # after the run's i-th play, bit for bit the per-step chain
-            sums = np.full(n + 1, (gaps[u] + gaps[v]) / 2.0)
-            sums[0] = cumulative
-            np.add.accumulate(sums, out=sums)
-            first = -t % stride  # offset of the run's first multiple of stride
-            regret.extend(sums[first + 1 :: stride].tolist())
-            cumulative = float(sums[n])
+            # the run's first multiple of stride is its (-t % stride + 1)-th play
+            cumulative = repeated_sum(
+                cumulative, (gaps[u] + gaps[v]) / 2.0, n, -t % stride + 1, stride, regret
+            )
             t += n
     if horizon % stride:  # the trace always ends at T
         regret.append(cumulative)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from duelsim import (
     write_results,
 )
 from duelsim.environment import DRAW_CHUNK
+from duelsim.harness import repeated_sum
 
 
 class ConstantPolicy:
@@ -289,6 +291,23 @@ class TestMrrRuns:
         assert trace.active == tuple(range(matrix.k))  # no win is ever seen
         assert peak <= 2 * det_100_peak * 2**20
 
+    def test_aggregated_queue_holds_one_int_per_pending_win(self):
+        # this configuration peaked at 0.27 MiB (CPython 3.11, numpy 2.4) with
+        # the landing steps in one int64 array; a dict of counts took 0.52 MiB
+        config = ExperimentConfig(
+            dataset="sushi", policy="mrr-delay", delay="geometric:0.00001", horizon=50_000,
+            aggregated=True,
+        )
+        matrix = builtin("sushi")
+        run_one(config, 0, matrix=matrix)  # one-time allocations out of the way
+        tracemalloc.start()
+        try:
+            run_one(config, 0, matrix=matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 0.27 * 2**20
+
     @pytest.mark.parametrize("aggregated, cap", [(False, 50), (True, DRAW_CHUNK)])
     def test_run_limit_is_window_or_draw_chunk(self, aggregated, cap):
         config = ExperimentConfig(
@@ -313,6 +332,52 @@ class TestMrrRuns:
 
         run_one(config, 11, matrix=validate_matrix(steep_rows(3)), policy_factory=factory)
         assert max(limits) == cap  # every run may use the whole cap, none more
+
+
+SUSHI_TIE = 0.0005000000000000004  # a sushi gap sum; c / ulp is k + 1/2 all over [0.5, 1)
+
+
+@st.composite
+def repeated_sums(draw):
+    """(x, c, n, first, stride) with x, c >= 0: tiny, huge and power-of-two x;
+    zero, random, larger-than-x, tied (k + 1/2 ulps) and sushi increments."""
+    x = draw(
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1e8]),
+            st.floats(0.0, 1e8),
+            st.integers(-1074, 26).map(lambda e: math.ldexp(1.0, e)),
+        )
+    )
+    c = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(0.0, 1.0),
+            st.floats(1.0, 4.0).map(lambda f: x * f),
+            st.integers(0, 3000).map(lambda k: (k + 0.5) * math.ulp(x)),
+            st.just(SUSHI_TIE),
+        )
+    )
+    stride = draw(st.integers(1, 300))
+    return x, c, draw(st.integers(1, 5000)), draw(st.integers(1, stride + 10)), stride
+
+
+class TestRepeatedSum:
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_sums())
+    @example((0.5, SUSHI_TIE, 5000, 1, 1))  # a whole tied binade, then two edges
+    @example((0.5 + 2**-53, SUSHI_TIE, 1000, 3, 7))  # odd x on a tie: one plain addition
+    @example((0.99, 0.001, 100, 3, 7))  # across the edge at 1
+    @example((0.0, 1e-310, 4000, 1, 1))  # subnormal steps into the normal range
+    def test_matches_sequential_additions(self, case):
+        x, c, n, first, stride = case
+        sums = np.full(n + 1, c)
+        sums[0] = x
+        np.add.accumulate(sums, out=sums)  # adds left to right: the per-step chain
+        out = [-1.0]
+        final = repeated_sum(x, c, n, first, stride, out)
+        assert out == [-1.0] + sums[first::stride].tolist()
+        assert final == sums[n]
+        assert type(final) is float and all(type(v) is float for v in out)
 
 
 class TestRunMany:
