@@ -20,9 +20,10 @@ The environment keeps only the undelivered wins that can still be observed,
 those landing by horizon + 1, keyed by landing step: O(pending wins), not
 O(t).  Each step's conversions are handed out once: observing t removes them.
 The full censored view Y_{s,t} is the running union of those deliveries.
-Aggregated mode hands out counts only, so it queues one sorted int64 array
-of landing steps, one entry per win, and counts a step's wins with
-searchsorted.
+Aggregated mode hands out counts only: play_run queues one sorted int64
+array of landing steps, one entry per win, counted with searchsorted, and
+step queues a count per landing step, which the next play_run sorts into
+the array.
 """
 
 from __future__ import annotations
@@ -138,9 +139,10 @@ class DuelingEnvironment:
         self._mu: list[list[float]] = matrix.mu.tolist()
         self.t = 1  # next step to play
         # undelivered wins: the outcomes by landing step, or if aggregated
-        # the sorted landing steps, one per win
+        # the sorted landing steps, one per win, plus step's counts by landing step
         self._landings: dict[int, list[PendingOutcome]] | np.ndarray
         self._landings = np.empty(0, dtype=np.int64) if aggregated else {}
+        self._step_counts: dict[int, int] = {}
         self._start = 1 - DRAW_CHUNK  # first step of the drawn chunk; none drawn yet
         self._uniforms = self._delays = np.empty(0, dtype=np.int64)  # int64 keeps delays integral
         self._lists: tuple[list[float], list[int]] | None = None  # step's copy of the chunk
@@ -167,10 +169,8 @@ class DuelingEnvironment:
         d = self._lists[1][i]
         out = PendingOutcome(t, u, v, x, d)
         if x == 1 and t + d <= self.horizon + 1:  # a later win is never observed
-            if self.aggregated:  # np.insert takes 4x as long
-                queue = self._landings
-                j = int(queue.searchsorted(t + d, "right"))
-                self._landings = np.concatenate((queue[:j], [t + d], queue[j:]))
+            if self.aggregated:  # O(1): an array insert copies every pending win
+                self._step_counts[t + d] = self._step_counts.get(t + d, 0) + 1
             else:
                 self._landings.setdefault(t + d, []).append(out)
         self.t = t + 1
@@ -204,6 +204,11 @@ class DuelingEnvironment:
         lands = wins + win_delays  # landing steps, less t
         self.t = end
         if self.aggregated:  # an integer sum does not depend on the order
+            counts = self._step_counts
+            if counts:  # step's wins join the array; the merge below is O(pending) too
+                stepped = np.fromiter(counts, np.int64, len(counts)).repeat(list(counts.values()))
+                self._landings = np.sort(np.concatenate((self._landings, stepped)))
+                counts.clear()
             late = lands[lands >= n]
             due = self._pop_landings(t + 1, end)  # queued wins, all played before t
             if late.size:
@@ -214,13 +219,10 @@ class DuelingEnvironment:
                     queue = queue[: queue.searchsorted(self.horizon + 1, "right")]
                 self._landings = queue
             return due + wins.size - late.size
-        # queued wins landing inside the run, all played before t: visit the
-        # run's steps or the queued ones, whichever are fewer
+        # queued wins landing inside the run, all played before t; a standard
+        # run is at most the window M, so visiting its steps is O(n)
         landings = self._landings
-        if n - 1 < len(landings):
-            due = [landings.pop(s) for s in range(t + 1, end) if s in landings]
-        else:
-            due = [landings.pop(s) for s in [s for s in landings if t < s < end]]
+        due = [landings.pop(s) for s in range(t + 1, end) if s in landings]
         inside = int(np.count_nonzero(lands < n))
         kept = int(np.count_nonzero(lands <= self.horizon + 1 - t))  # observable wins
         order = np.argsort(lands, kind="stable")[:kept]  # by landing step, then play step
@@ -251,11 +253,13 @@ class DuelingEnvironment:
         if not self.aggregated:
             raise ModeMismatch("environment is not in aggregated mode")
         self._check_time(t)
-        return self._pop_landings(t, t + 1)
+        return self._step_counts.pop(t, 0) + self._pop_landings(t, t + 1)
 
     def _pop_landings(self, first: int, end: int) -> int:
         """Unqueue the aggregated wins landing at steps first..end-1; their count."""
         queue = self._landings
+        if not queue.size:  # per-step play queues none
+            return 0
         lo, hi = queue.searchsorted((first, end)).tolist()
         if lo < hi:
             self._landings = queue[hi:] if lo == 0 else np.concatenate((queue[:lo], queue[hi:]))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,12 +214,15 @@ class TestObservation:
 
 def queued(env):
     """The undelivered wins as an exact value to compare between twins: the
-    outcomes by landing step, or when aggregated the list of landing steps,
-    checked to be sorted and to hold nothing past horizon + 1."""
+    outcomes by landing step, or when aggregated the sorted list of landing
+    steps, one per win, from the array (checked to be sorted) and step's
+    counts; nothing past horizon + 1."""
     if not env.aggregated:
         return env._landings
     steps = env._landings.tolist()
     assert steps == sorted(steps)
+    assert all(c >= 1 for c in env._step_counts.values())
+    steps = sorted(steps + [s for s, c in env._step_counts.items() for _ in range(c)])
     assert max(steps, default=0) <= env.horizon + 1
     return steps
 
@@ -272,6 +277,30 @@ class TestDelivery:
             env.step(0, 1)
         assert all(type(c) is int for c in counts)
         assert sum(counts) > 0
+
+    def test_step_win_does_not_copy_the_pending_wins(self):
+        # 2,000 observe/step calls, each queueing a win, take about as long
+        # behind 24 draw chunks of pending wins as behind one; a sorted-array
+        # insert per win made the first loop 10x as long or more
+        mu = np.full((2, 2), 0.5)
+        mu[0, 1], mu[1, 0] = 1.0, 0.0
+
+        def loop_seconds(chunks):
+            env = DuelingEnvironment(
+                validate_matrix(mu), deterministic(10**6), np.random.default_rng(0),
+                horizon=2 * 10**6, aggregated=True,
+            )
+            for _ in range(chunks):
+                env.play_run(0, 1, DRAW_CHUNK)  # every play wins and lands after the loop
+            assert pending_wins(env) == chunks * DRAW_CHUNK
+            start = time.perf_counter()
+            for t in range(env.t, env.t + 2000):
+                env.observe_aggregated(t)
+                env.step(0, 1)
+            return time.perf_counter() - start
+
+        few, many = (min(loop_seconds(c) for _ in range(3)) for c in (1, 24))
+        assert many < 4 * few
 
 
 class TestPlayRun:
