@@ -1,7 +1,6 @@
 """Dueling-bandit simulation with stochastic delayed conversion feedback."""
 
 from .bounds import (
-    BoundInputs,
     c_delta,
     lower_bound_value,
     mrr_expected_bound,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateResult",
-    "BoundInputs",
     "DelayCorrectedEstimator",
     "DelayDistribution",
     "DuelingEnvironment",

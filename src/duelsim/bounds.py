@@ -3,8 +3,13 @@
 All calculators are pure functions of their inputs and use the natural
 logarithm.  Logarithms that would go negative at small arguments are
 floored at zero so every radical stays real; callers relying on the
-asymptotic regime are unaffected.  An argument outside its COUNTS or
-DOMAINS entry, or a result that overflows, fails with a one-line ValueError.
+asymptotic regime are unaffected.  Each calculator takes only the
+constants it reads, named as in COUNTS and DOMAINS: k (K), t_horizon
+(T), m (round index), m_window (window M), alpha, delta, tau_1 and tau_m
+(the delay CDF at 1 and at M), mean_delay (E[D]), and gaps (the
+suboptimal arms' gaps, winner excluded, one per arm: len(gaps) == k - 1).
+An argument outside its COUNTS or DOMAINS entry, a gap count other than
+k - 1, or a result that overflows fails with a one-line ValueError.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import inspect
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 
 # count argument -> (name in errors, least value)
 COUNTS = {"k": ("K", 2), "t_horizon": ("T", 1), "m": ("round index", 1), "m_window": ("window M", 1)}
@@ -38,24 +42,30 @@ def check_count(name: str, x, low: int) -> int:
     return int(x)
 
 
-def _check_domains(arguments: dict) -> None:
-    for arg, (name, low) in COUNTS.items():
-        if arg in arguments:
-            check_count(name, arguments[arg], low)
-    for arg, (name, domain, inside) in DOMAINS.items():
-        if arg in arguments and not inside(arguments[arg]):
-            raise ValueError(f"{name} must be {domain}, got {arguments[arg]}")
+def check_domain(arg: str, x) -> None:
+    """Fail with one line unless x lies in DOMAINS[arg]."""
+    name, domain, inside = DOMAINS[arg]
+    if not inside(x):
+        raise ValueError(f"{name} must be {domain}, got {x}")
 
 
 def _calculator(function):
-    """function with its arguments checked against COUNTS and DOMAINS; a
-    result that overflows (inf, nan or a float error on the way) fails with one line."""
+    """function with its arguments checked against COUNTS and DOMAINS, then
+    gaps against k; a result that overflows (inf, nan or a float error on the
+    way) fails with one line."""
     signature = inspect.signature(function)
 
     @functools.wraps(function)
     def checked(*args, **kwargs):
         arguments = signature.bind(*args, **kwargs).arguments
-        _check_domains(arguments)
+        for arg, (name, low) in COUNTS.items():
+            if arg in arguments:
+                check_count(name, arguments[arg], low)
+        for arg in DOMAINS:
+            if arg in arguments:
+                check_domain(arg, arguments[arg])
+        if "gaps" in arguments and len(arguments["gaps"]) != arguments["k"] - 1:
+            raise ValueError("gaps must list one value per suboptimal arm")
         try:
             result = function(*args, **kwargs)
             if all(map(math.isfinite, result if isinstance(result, tuple) else (result,))):
@@ -65,30 +75,6 @@ def _calculator(function):
         raise ValueError(f"{function.__name__} overflows for {dict(arguments)}")
 
     return checked
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Shared problem constants for the regret-bound calculators.
-
-    gaps holds the suboptimal arms' gaps (winner excluded), each in
-    (0, 1/2].  tau_1 and tau_m are the delay CDF at 1 and at the window
-    M; mean_delay is E[D].
-    """
-
-    k: int
-    t_horizon: int
-    gaps: tuple[float, ...]
-    alpha: float = 1.0
-    m_window: int = 1000
-    tau_1: float = 1.0
-    tau_m: float = 1.0
-    mean_delay: float = 0.0
-
-    def __post_init__(self):
-        _check_domains(vars(self))
-        if len(self.gaps) != self.k - 1:
-            raise ValueError("gaps must list one value per suboptimal arm")
 
 
 @_calculator
@@ -124,7 +110,16 @@ def _pair_min_gaps(gaps: tuple[float, ...]):
 
 
 @_calculator
-def rucb_delay_expected_bound(inputs: BoundInputs, use_tau_m: bool = False) -> float:
+def rucb_delay_expected_bound(
+    k: int,
+    t_horizon: int,
+    gaps: tuple[float, ...],
+    alpha: float,
+    m_window: int = 1000,
+    tau_1: float = 1.0,
+    tau_m: float = 1.0,
+    use_tau_m: bool = False,
+) -> float:
     """Explicit expected-regret constant for the delay-aware UCB policy.
 
     Requires alpha > 1: the constant carries a (2a-1)/(a-1) factor that
@@ -132,16 +127,14 @@ def rucb_delay_expected_bound(inputs: BoundInputs, use_tau_m: bool = False) -> f
     finite value under this expression.  With use_tau_m, tau_1 is replaced
     by tau_m / (M + 1), valid when every pair is compared once up front.
     """
-    a = inputs.alpha
+    a = alpha
     if a <= 1.0:
         raise ValueError(f"alpha must exceed 1 for the expected bound, got {a}")
-    k, m, t = inputs.k, inputs.m_window, inputs.t_horizon
-    tau = inputs.tau_m / (m + 1) if use_tau_m else inputs.tau_1
-    gaps = inputs.gaps
+    tau = tau_m / (m_window + 1) if use_tau_m else tau_1
     d_max = max(gaps)
     big_d = (1 / tau**2) * sum(4 * a / g**2 for g in _pair_min_gaps(gaps))
-    head = (8 + c_delta(a, m, k, 0.5) * (2 * a - 1) / (a - 1)) * d_max
-    log_t = math.log(t)
+    head = (8 + c_delta(a, m_window, k, 0.5) * (2 * a - 1) / (a - 1)) * d_max
+    log_t = math.log(t_horizon)
     tail = sum(2 * a * (g + 4 * d_max) / (tau**2 * g**2) * log_t for g in gaps)
     return head + 2 * big_d * math.log(2 * big_d) * d_max + tail
 
@@ -175,18 +168,19 @@ def n_schedule_aggregated(m: int, t_horizon: int, mean_delay: float) -> int:
 
 
 @_calculator
-def mrr_expected_bound(inputs: BoundInputs) -> float:
+def mrr_expected_bound(
+    k: int, t_horizon: int, gaps: tuple[float, ...], mean_delay: float
+) -> float:
     """Explicit expected-regret constant for the round-robin elimination policy."""
-    k, t, ed = inputs.k, inputs.t_horizon, inputs.mean_delay
     total = 0.0
-    for g in inputs.gaps:
-        loga = math.log(max(4 * t * g * g / 9, 1.0))
+    for g in gaps:
+        loga = math.log(max(4 * t_horizon * g * g / 9, 1.0))
         total += (
             9 * k * loga / g
             + 4 * k * loga
-            + 6 * k * math.sqrt(2 * ed * loga)
+            + 6 * k * math.sqrt(2 * mean_delay * loga)
             + 81 / g
-            + 6 * k * ed
+            + 6 * k * mean_delay
             + 0.5 * k * g
         )
     return total

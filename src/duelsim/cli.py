@@ -7,7 +7,7 @@ Subcommands:
 
 Flags are named (dest=) after the ExperimentConfig field or calculator
 parameter they set and are left out when absent, so every default is
-ExperimentConfig's or BoundInputs'.
+ExperimentConfig's or the calculator's own.
 """
 
 from __future__ import annotations
@@ -22,14 +22,6 @@ from .harness import ExperimentConfig, run_many, write_results
 
 def _parse_gaps(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
-
-
-def _rucb_expected(use_tau_m: bool = False, **inputs) -> float:
-    return bounds.rucb_delay_expected_bound(bounds.BoundInputs(**inputs), use_tau_m)
-
-
-def _mrr_expected(**inputs) -> float:
-    return bounds.mrr_expected_bound(bounds.BoundInputs(**inputs))
 
 
 def _lower_bound(print_delta_star: bool = False, **args) -> float:
@@ -87,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--delta", type=float, required=True)
 
-    r = calculator("rucb-expected", _rucb_expected)
+    r = calculator("rucb-expected", bounds.rucb_delay_expected_bound)
     r.add_argument("--k", type=int, required=True)
     r.add_argument("--T", dest="t_horizon", type=int, required=True)
     r.add_argument("--gaps", type=_parse_gaps, required=True)
@@ -106,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         n.add_argument("--T", dest="t_horizon", type=int, required=True)
         n.add_argument("--mean-delay", type=float, required=True)
 
-    m = calculator("mrr-expected", _mrr_expected)
+    m = calculator("mrr-expected", bounds.mrr_expected_bound)
     m.add_argument("--k", type=int, required=True)
     m.add_argument("--T", dest="t_horizon", type=int, required=True)
     m.add_argument("--gaps", type=_parse_gaps, required=True)

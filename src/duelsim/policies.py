@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import DOMAINS, n_schedule, n_schedule_aggregated
+from .bounds import check_domain, n_schedule, n_schedule_aggregated
 from .estimator import DelayCorrectedEstimator, corrected_bounds
 
 
@@ -145,8 +145,7 @@ class RucbBaseline:
     name = "rucb-baseline"
 
     def __init__(self, k: int, *, alpha: float, rng: np.random.Generator):
-        if not 0.5 < alpha < math.inf:
-            raise ValueError(f"alpha must exceed 1/2, got {alpha}")
+        check_domain("alpha", alpha)  # the calculators' rule
         self.k = k
         self.alpha = alpha
         self.rng = rng
@@ -192,9 +191,7 @@ class RrDbDelay:
     name = "rrdb-delay"
 
     def __init__(self, k: int, *, window: int, tau_table: np.ndarray, delta: float):
-        name, domain, inside = DOMAINS["delta"]  # the calculators' rule
-        if not inside(delta):
-            raise ValueError(f"{name} must be {domain}, got {delta}")
+        check_domain("delta", delta)  # the calculators' rule
         self.k = k
         self.delta = delta
         self.est = DelayCorrectedEstimator(k, window, tau_table)

@@ -247,8 +247,6 @@ def test_criterion_7_policy_ordering(desk_runs):
 
 
 def test_criterion_8_bound_calculators_match_oracles():
-    from duelsim import BoundInputs
-
     rng = np.random.default_rng(88)
     worst = 0.0
     for _ in range(100):
@@ -259,13 +257,11 @@ def test_criterion_8_bound_calculators_match_oracles():
         tau = float(rng.uniform(0.05, 1.0))
         t = int(rng.integers(10, 10**7))
         ed = float(rng.uniform(0.0, 300.0))
-        inputs = BoundInputs(
-            k=k, t_horizon=t, gaps=gaps, alpha=alpha, m_window=m, tau_1=tau,
-            mean_delay=ed,
+        got_r = rucb_delay_expected_bound(
+            k=k, t_horizon=t, gaps=gaps, alpha=alpha, m_window=m, tau_1=tau
         )
-        got_r = rucb_delay_expected_bound(inputs)
         want_r = oracle_rucb_expected(k, t, gaps, alpha, m, tau)
-        got_m = mrr_expected_bound(inputs)
+        got_m = mrr_expected_bound(k=k, t_horizon=t, gaps=gaps, mean_delay=ed)
         want_m = oracle_mrr_expected(k, t, gaps, ed)
         worst = max(
             worst,

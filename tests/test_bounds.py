@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from duelsim import (
-    BoundInputs,
     DelayCorrectedEstimator,
     ExperimentConfig,
     arithmetic_matrix,
@@ -187,27 +186,26 @@ class TestNScheduleAggregated:
 
 class TestRucbExpectedBound:
     def test_alpha_at_or_below_one_rejected(self):
-        inputs = BoundInputs(k=3, t_horizon=1000, gaps=(0.1, 0.2), alpha=1.0)
         with pytest.raises(ValueError):
-            rucb_delay_expected_bound(inputs)
+            rucb_delay_expected_bound(k=3, t_horizon=1000, gaps=(0.1, 0.2), alpha=1.0)
 
     def test_oracle_match_single_case(self):
-        inputs = BoundInputs(
+        got = rucb_delay_expected_bound(
             k=2, t_horizon=10**4, gaps=(0.1,), alpha=2.0, m_window=10, tau_1=0.5
         )
-        assert rucb_delay_expected_bound(inputs) == pytest.approx(
+        assert got == pytest.approx(
             oracle_rucb_expected(2, 10**4, (0.1,), 2.0, 10, 0.5), rel=1e-9
         )
 
     def test_no_delay_log_coefficient(self):
         # with tau_1 = 1 the log T part is sum 2a (g + 4 gmax) / g^2 * log T
         gaps = (0.1, 0.25)
-        inputs = BoundInputs(k=3, t_horizon=10**6, gaps=gaps, alpha=2.0, m_window=5, tau_1=1.0)
-        t1 = rucb_delay_expected_bound(inputs)
-        inputs2 = BoundInputs(
+        t1 = rucb_delay_expected_bound(
+            k=3, t_horizon=10**6, gaps=gaps, alpha=2.0, m_window=5, tau_1=1.0
+        )
+        t2 = rucb_delay_expected_bound(
             k=3, t_horizon=10**12, gaps=gaps, alpha=2.0, m_window=5, tau_1=1.0
         )
-        t2 = rucb_delay_expected_bound(inputs2)
         gmax = max(gaps)
         coeff = sum(2 * 2.0 * (g + 4 * gmax) / (g * g) for g in gaps)
         assert (t2 - t1) == pytest.approx(
@@ -218,8 +216,8 @@ class TestRucbExpectedBound:
         # halving tau_1 quadruples D and the log T coefficient
         gaps = (0.2,)
         a = 2.0
-        base = BoundInputs(k=2, t_horizon=10**5, gaps=gaps, alpha=a, m_window=10, tau_1=1.0)
-        half = BoundInputs(k=2, t_horizon=10**5, gaps=gaps, alpha=a, m_window=10, tau_1=0.5)
+        base = dict(k=2, t_horizon=10**5, gaps=gaps, alpha=a, m_window=10, tau_1=1.0)
+        half = dict(base, tau_1=0.5)
         head = (
             8
             + (2 * (4 * a - 1) * 11 * 2 * 1 / (2 * a - 1)) ** (1 / (2 * a - 1))
@@ -231,14 +229,14 @@ class TestRucbExpectedBound:
         log_t = math.log(10**5)
         expect1 = head + 2 * d1 * math.log(2 * d1) * 0.2 + 2 * a * (0.2 + 0.8) / 0.04 * log_t
         expect2 = head + 2 * d2 * math.log(2 * d2) * 0.2 + 4 * 2 * a * (0.2 + 0.8) / 0.04 * log_t
-        assert rucb_delay_expected_bound(base) == pytest.approx(expect1, rel=1e-9)
-        assert rucb_delay_expected_bound(half) == pytest.approx(expect2, rel=1e-9)
+        assert rucb_delay_expected_bound(**base) == pytest.approx(expect1, rel=1e-9)
+        assert rucb_delay_expected_bound(**half) == pytest.approx(expect2, rel=1e-9)
 
     def test_tau_m_substitution_option(self):
-        inputs = BoundInputs(
-            k=3, t_horizon=10**4, gaps=(0.1, 0.3), alpha=1.5, m_window=20, tau_1=0.3, tau_m=0.9
+        swapped = rucb_delay_expected_bound(
+            k=3, t_horizon=10**4, gaps=(0.1, 0.3), alpha=1.5, m_window=20, tau_1=0.3, tau_m=0.9,
+            use_tau_m=True,
         )
-        swapped = rucb_delay_expected_bound(inputs, use_tau_m=True)
         manual = oracle_rucb_expected(3, 10**4, (0.1, 0.3), 1.5, 20, 0.9 / 21)
         assert swapped == pytest.approx(manual, rel=1e-9)
 
@@ -251,10 +249,10 @@ class TestRucbExpectedBound:
             m = int(rng.integers(1, 2000))
             tau = float(rng.uniform(0.05, 1.0))
             t = int(rng.integers(10, 10**7))
-            inputs = BoundInputs(
+            got = rucb_delay_expected_bound(
                 k=k, t_horizon=t, gaps=gaps, alpha=a, m_window=m, tau_1=tau
             )
-            assert rucb_delay_expected_bound(inputs) == pytest.approx(
+            assert got == pytest.approx(
                 oracle_rucb_expected(k, t, gaps, a, m, tau), rel=1e-9
             )
 
@@ -263,7 +261,6 @@ class TestMrrExpectedBound:
     def test_zero_delay_kills_delay_terms(self):
         gaps = (0.2, 0.4)
         k, t = 3, 10**5
-        inputs = BoundInputs(k=k, t_horizon=t, gaps=gaps, mean_delay=0.0)
         expected = sum(
             9 * k * math.log(4 * t * g * g / 9) / g
             + 4 * k * math.log(4 * t * g * g / 9)
@@ -271,12 +268,12 @@ class TestMrrExpectedBound:
             + k * g / 2
             for g in gaps
         )
-        assert mrr_expected_bound(inputs) == pytest.approx(expected, rel=1e-12)
+        got = mrr_expected_bound(k=k, t_horizon=t, gaps=gaps, mean_delay=0.0)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_log_floor(self):
         # tiny T drives the log negative; floored to zero leaves the constants
-        inputs = BoundInputs(k=2, t_horizon=2, gaps=(0.1,), mean_delay=7.0)
-        assert mrr_expected_bound(inputs) == pytest.approx(
+        assert mrr_expected_bound(k=2, t_horizon=2, gaps=(0.1,), mean_delay=7.0) == pytest.approx(
             81 / 0.1 + 6 * 2 * 7.0 + 0.5 * 2 * 0.1, rel=1e-12
         )
 
@@ -287,8 +284,7 @@ class TestMrrExpectedBound:
             gaps = tuple(float(x) for x in rng.uniform(0.01, 0.5, size=k - 1))
             t = int(rng.integers(2, 10**7))
             ed = float(rng.uniform(0.0, 300.0))
-            inputs = BoundInputs(k=k, t_horizon=t, gaps=gaps, mean_delay=ed)
-            assert mrr_expected_bound(inputs) == pytest.approx(
+            assert mrr_expected_bound(k=k, t_horizon=t, gaps=gaps, mean_delay=ed) == pytest.approx(
                 oracle_mrr_expected(k, t, gaps, ed), rel=1e-9
             )
 
@@ -296,12 +292,12 @@ class TestMrrExpectedBound:
         gaps = (0.3,)
         k = 2
         t = 10**4
-        lo = BoundInputs(k=k, t_horizon=t, gaps=gaps, mean_delay=0.0)
-        hi = BoundInputs(k=k, t_horizon=t * t, gaps=gaps, mean_delay=0.0)
         g = gaps[0]
         l_lo = math.log(4 * t * g * g / 9)
         l_hi = math.log(4 * t * t * g * g / 9)
-        got = mrr_expected_bound(hi) - mrr_expected_bound(lo)
+        got = mrr_expected_bound(k=k, t_horizon=t * t, gaps=gaps, mean_delay=0.0) - (
+            mrr_expected_bound(k=k, t_horizon=t, gaps=gaps, mean_delay=0.0)
+        )
         assert got == pytest.approx((9 * k / g + 4 * k) * (l_hi - l_lo), rel=1e-9)
 
 
@@ -327,21 +323,21 @@ class TestLowerBound:
 
 class TestPurity:
     def test_same_inputs_same_outputs(self):
-        inputs = BoundInputs(
-            k=4, t_horizon=12345, gaps=(0.05, 0.1, 0.2), alpha=1.7, m_window=77, tau_1=0.4,
-            mean_delay=33.0,
-        )
-        assert rucb_delay_expected_bound(inputs) == rucb_delay_expected_bound(inputs)
-        assert mrr_expected_bound(inputs) == mrr_expected_bound(inputs)
+        shared = dict(k=4, t_horizon=12345, gaps=(0.05, 0.1, 0.2))
+        rucb = dict(shared, alpha=1.7, m_window=77, tau_1=0.4)
+        mrr = dict(shared, mean_delay=33.0)
+        assert rucb_delay_expected_bound(**rucb) == rucb_delay_expected_bound(**rucb)
+        assert mrr_expected_bound(**mrr) == mrr_expected_bound(**mrr)
         assert n_schedule(3, 999, 12.0) == n_schedule(3, 999, 12.0)
 
-    def test_bound_inputs_validation(self):
-        with pytest.raises(ValueError):
-            BoundInputs(k=3, t_horizon=100, gaps=(0.1,))  # wrong gap count
-        with pytest.raises(ValueError):
-            BoundInputs(k=2, t_horizon=100, gaps=(0.7,))  # gap out of range
-        with pytest.raises(ValueError):
-            BoundInputs(k=2, t_horizon=100, gaps=(0.1,), tau_1=0.0)
+    @pytest.mark.parametrize("calculator", [rucb_delay_expected_bound, mrr_expected_bound])
+    def test_calculator_validation(self, calculator):
+        with pytest.raises(ValueError, match="^gaps must list one value per suboptimal arm$"):
+            calculator(**{**SMALL[calculator], "k": 3})  # wrong gap count
+        with pytest.raises(ValueError, match=r"^gaps must be in \(0, 1/2\], got \(0.7,\)$"):
+            calculator(**{**SMALL[calculator], "gaps": (0.7,)})  # gap out of range
+        with pytest.raises(ValueError, match=r"^tau_1 must be in \(0, 1\], got 0.0$"):
+            rucb_delay_expected_bound(**SMALL[rucb_delay_expected_bound], tau_1=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +345,10 @@ class TestPurity:
 # ---------------------------------------------------------------------------
 
 EXTREMES = [0, -1, math.nan, math.inf, -math.inf, 1e-300, 1e300]
-VALID_INPUTS = dict(
-    k=3, t_horizon=10**4, gaps=(0.1, 0.3), alpha=1.5, m_window=20, tau_1=0.3, tau_m=0.9,
-    mean_delay=5.0,
+RUCB_INPUTS = dict(
+    k=3, t_horizon=10**4, gaps=(0.1, 0.3), alpha=1.5, m_window=20, tau_1=0.3, tau_m=0.9
 )
+MRR_INPUTS = dict(k=3, t_horizon=10**4, gaps=(0.1, 0.3), mean_delay=5.0)
 # name -> (calculator taking keyword arguments, valid arguments)
 CALCULATORS = {
     "c_delta": (c_delta, dict(alpha=1.0, m_window=1000, k=6, delta=0.1)),
@@ -361,13 +357,16 @@ CALCULATORS = {
         n_schedule_aggregated, dict(m=1, t_horizon=200000, mean_delay=100.0)
     ),
     "lower_bound_value": (lower_bound_value, dict(k=10, t_horizon=10**5, tau_m=1.0)),
-    "rucb_delay_expected_bound": (
-        lambda **kw: rucb_delay_expected_bound(BoundInputs(**kw)), VALID_INPUTS
-    ),
+    "rucb_delay_expected_bound": (rucb_delay_expected_bound, RUCB_INPUTS),
     "rucb_delay_expected_bound(use_tau_m)": (
-        lambda **kw: rucb_delay_expected_bound(BoundInputs(**kw), use_tau_m=True), VALID_INPUTS
+        partial(rucb_delay_expected_bound, use_tau_m=True), RUCB_INPUTS
     ),
-    "mrr_expected_bound": (lambda **kw: mrr_expected_bound(BoundInputs(**kw)), VALID_INPUTS),
+    "mrr_expected_bound": (mrr_expected_bound, MRR_INPUTS),
+}
+# the smallest valid call of each expected-regret calculator
+SMALL = {
+    rucb_delay_expected_bound: dict(k=2, t_horizon=100, gaps=(0.1,), alpha=2.0),
+    mrr_expected_bound: dict(k=2, t_horizon=100, gaps=(0.1,), mean_delay=1.0),
 }
 
 
@@ -413,25 +412,36 @@ class TestRobustness:
             n_schedule(2000, 100, 1.0)  # gamma^2 underflows to 0
         with pytest.raises(ValueError, match=r"^rucb_delay_expected_bound overflows for "):
             # tau_1^2 underflows to 0
-            inputs = BoundInputs(k=2, t_horizon=100, gaps=(0.1,), alpha=2.0, tau_1=1e-300)
-            rucb_delay_expected_bound(inputs)
+            rucb_delay_expected_bound(k=2, t_horizon=100, gaps=(0.1,), alpha=2.0, tau_1=1e-300)
+        with pytest.raises(
+            ValueError,
+            match=r"^mrr_expected_bound overflows for \{'k': 2, 't_horizon': 100, "
+            r"'gaps': \(0.1,\), 'mean_delay': 1e\+308\}$",
+        ):
+            mrr_expected_bound(k=2, t_horizon=100, gaps=(0.1,), mean_delay=1e308)
 
     @pytest.mark.parametrize(
-        "args, message",
+        "calculator, args, message",
         [
-            (dict(k=1, gaps=()), "K must be >= 2, got 1"),
-            (dict(t_horizon=0), "T must be >= 1, got 0"),
-            (dict(mean_delay=math.inf), "mean delay must be finite and >= 0, got inf"),
-            (dict(mean_delay=math.nan), "mean delay must be finite and >= 0, got nan"),
-            (dict(mean_delay=-5.0), "mean delay must be finite and >= 0, got -5.0"),
-            (dict(alpha=math.inf), "alpha must be finite and > 1/2, got inf"),
-            (dict(m_window=0), "window M must be >= 1, got 0"),
-            (dict(tau_m=1.5), "tau_m must be in (0, 1], got 1.5"),
+            *((calculator, dict(k=1, gaps=()), "K must be >= 2, got 1") for calculator in SMALL),
+            *((calculator, dict(t_horizon=0), "T must be >= 1, got 0") for calculator in SMALL),
+            (mrr_expected_bound, dict(mean_delay=math.inf), "mean delay must be finite and >= 0, got inf"),
+            (mrr_expected_bound, dict(mean_delay=math.nan), "mean delay must be finite and >= 0, got nan"),
+            (mrr_expected_bound, dict(mean_delay=-5.0), "mean delay must be finite and >= 0, got -5.0"),
+            (rucb_delay_expected_bound, dict(alpha=math.inf), "alpha must be finite and > 1/2, got inf"),
+            (rucb_delay_expected_bound, dict(m_window=0), "window M must be >= 1, got 0"),
+            (rucb_delay_expected_bound, dict(tau_m=1.5), "tau_m must be in (0, 1], got 1.5"),
         ],
     )
-    def test_bound_inputs_domains(self, args, message):
+    def test_calculator_domains(self, calculator, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            BoundInputs(**{"k": 2, "t_horizon": 100, "gaps": (0.1,), **args})
+            calculator(**{**SMALL[calculator], **args})
+
+    def test_mrr_reads_no_rucb_constant(self):
+        small = SMALL[mrr_expected_bound]
+        assert mrr_expected_bound(**small) == 822.1
+        with pytest.raises(TypeError):
+            mrr_expected_bound(**small, alpha=0.5)
 
     @pytest.mark.parametrize(
         "function, args, message",

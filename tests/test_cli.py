@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from duelsim import BoundInputs, ExperimentConfig, cli, policies, rucb_delay_expected_bound
+from duelsim import ExperimentConfig, cli, policies, rucb_delay_expected_bound
 from duelsim.cli import build_parser, main
 from duelsim.harness import AggregateResult
 
@@ -126,14 +126,14 @@ class TestBoundsCommand:
         assert code == 0
         assert float(out.strip()) > 0
 
-    def test_rucb_expected_defaults_are_bound_inputs(self, capsys):
+    def test_rucb_expected_defaults_are_the_calculators(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "rucb-expected", "--k", "3", "--T", "10000",
             "--gaps", "0.1,0.2", "--alpha", "2",
         )
         assert code == 0
-        inputs = BoundInputs(k=3, t_horizon=10000, gaps=(0.1, 0.2), alpha=2.0)
-        assert out == f"{rucb_delay_expected_bound(inputs)}\n"
+        expected = rucb_delay_expected_bound(k=3, t_horizon=10000, gaps=(0.1, 0.2), alpha=2.0)
+        assert out == f"{expected}\n"
 
     def test_rucb_expected_alpha_one_fails_cleanly(self, capsys):
         code, out, err = run_cli(
@@ -186,7 +186,10 @@ class TestOneLineErrors:
                 "geometric parameter 1e-320 too small: its mean 1/p overflows",
             ),
             (["--policy", "rucb-delay", "--alpha", "inf"], "alpha must be >= 1, got inf"),
-            (["--policy", "rucb-baseline", "--alpha", "inf"], "alpha must exceed 1/2, got inf"),
+            (
+                ["--policy", "rucb-baseline", "--alpha", "inf"],
+                "alpha must be finite and > 1/2, got inf",
+            ),
             *(
                 (["--policy", "rrdb-delay", "--delta", d], f"delta must be in (0, 1], got {d}")
                 for d in ("0.0", "-1.0", "1.5", "nan")
@@ -243,8 +246,8 @@ class TestOneLineErrors:
             ([*MRR, "--T", "100000", "--mean-delay", "-5"], "mean delay must be finite and >= 0, got -5.0"),
             (
                 [*MRR, "--T", "100", "--mean-delay", "1e308"],
-                "mrr_expected_bound overflows for {'inputs': BoundInputs(k=2, t_horizon=100, "
-                "gaps=(0.1,), alpha=1.0, m_window=1000, tau_1=1.0, tau_m=1.0, mean_delay=1e+308)}",
+                "mrr_expected_bound overflows for "
+                "{'k': 2, 't_horizon': 100, 'gaps': (0.1,), 'mean_delay': 1e+308}",
             ),
             ([*RUCB, "--T", "0", "--alpha", "2"], "T must be >= 1, got 0"),
             ([*MRR, "--T", "0", "--mean-delay", "1"], "T must be >= 1, got 0"),
@@ -362,7 +365,7 @@ class TestRunCommand:
             "--alpha", alpha, "--T", "50", "--runs", "1", "--out", str(tmp_path / "x"),
         )
         assert code == 2
-        assert err == f"duelsim: error: alpha must exceed 1/2, got {float(alpha)}\n"
+        assert err == f"duelsim: error: alpha must be finite and > 1/2, got {float(alpha)}\n"
 
     def test_delta_overflowing_log_term_fails_cleanly(self, tmp_path, capsys):
         code, _, err = run_cli(

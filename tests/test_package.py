@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import duelsim
-from duelsim import cli, errors
+from duelsim import bounds, cli, errors
 
 
 def test_all_names_resolve_without_duplicates():
@@ -79,6 +79,32 @@ def test_bench_trace_targets_resolve():
     }
     # the policies without anonymous-count feedback have no observe_count
     assert missing <= {("RucbDelay", "observe_count"), ("RrDbDelay", "observe_count")}
+
+
+def subcommands(parser):
+    """Name -> subparser for parser's one set of subcommands."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_calculators_take_only_checked_arguments():
+    """Each calculator parameter is a constant that COUNTS or DOMAINS names (use_tau_m
+    is a switch), and each `duelsim bounds` subcommand but lower-bound, which picks
+    one of two results, passes its flags straight to a calculator's parameters."""
+    # the functions bounds._calculator wraps, by name
+    calculators = {name: f for name, f in vars(bounds).items() if hasattr(f, "__wrapped__")}
+    assert len(calculators) == 6
+    for name, function in calculators.items():
+        params = set(inspect.signature(function).parameters) - {"use_tau_m"}
+        assert params <= bounds.COUNTS.keys() | bounds.DOMAINS.keys(), name
+    for command, parser in subcommands(subcommands(cli.build_parser())["bounds"]).items():
+        if command == "lower-bound":
+            continue
+        function = parser.get_default("function")
+        assert function in calculators.values(), command
+        params = inspect.signature(function).parameters
+        dests = {action.dest for action in parser._actions if action.dest != "help"}
+        assert dests <= params.keys(), command
 
 
 def test_import_leaves_the_process_pool_out():

@@ -172,11 +172,11 @@ class TestRucbDelaySelection:
 class TestRucbBaseline:
     @pytest.mark.parametrize("alpha", [0.5, 0.0, -1.0, math.nan])
     def test_alpha_at_or_below_half_rejected(self, alpha):
-        with pytest.raises(ValueError, match="alpha must exceed 1/2, got"):
+        with pytest.raises(ValueError, match=r"^alpha must be finite and > 1/2, got"):
             RucbBaseline(3, alpha=alpha, rng=np.random.default_rng(0))
 
     def test_infinite_alpha_rejected(self):
-        with pytest.raises(ValueError, match="^alpha must exceed 1/2, got inf$"):
+        with pytest.raises(ValueError, match=r"^alpha must be finite and > 1/2, got inf$"):
             RucbBaseline(3, alpha=math.inf, rng=np.random.default_rng(0))
 
     def test_pending_play_counts_as_loss_for_first_arm(self):
