@@ -18,6 +18,7 @@ from duelsim import (
     deterministic,
     geometric,
     make_policy,
+    rucb_delay_expected_bound,
     run_many,
     run_one,
     validate_matrix,
@@ -178,6 +179,16 @@ class TestRucbBaseline:
     def test_infinite_alpha_rejected(self):
         with pytest.raises(ValueError, match=r"^alpha must be finite and > 1/2, got inf$"):
             RucbBaseline(3, alpha=math.inf, rng=np.random.default_rng(0))
+
+    def test_alpha_rule_is_the_calculators(self):
+        # the policy and the expected-bound calculator reject alpha with one message
+        for alpha in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError) as policy_error:
+                RucbBaseline(2, alpha=alpha, rng=np.random.default_rng(0))
+            with pytest.raises(ValueError) as bound_error:
+                rucb_delay_expected_bound(k=2, t_horizon=100, gaps=(0.1,), alpha=alpha)
+            assert str(policy_error.value) == str(bound_error.value)
+        RucbBaseline(2, alpha=0.5000001, rng=np.random.default_rng(0))  # just inside
 
     def test_pending_play_counts_as_loss_for_first_arm(self):
         pol = fresh_policy("rucb-baseline", k=3, seed=3)
