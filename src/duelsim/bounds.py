@@ -117,25 +117,22 @@ def rucb_delay_expected_bound(
     alpha: float,
     m_window: int = 1000,
     tau_1: float = 1.0,
-    tau_m: float = 1.0,
-    use_tau_m: bool = False,
 ) -> float:
     """Explicit expected-regret constant for the delay-aware UCB policy.
 
     Requires alpha > 1: the constant carries a (2a-1)/(a-1) factor that
     diverges at alpha = 1, so the empirical default alpha = 1 has no
-    finite value under this expression.  With use_tau_m, tau_1 is replaced
-    by tau_m / (M + 1), valid when every pair is compared once up front.
+    finite value under this expression.  The paper's up-front form, valid
+    when every pair is compared once first, passes tau_1 = tau_m / (M + 1).
     """
     a = alpha
     if a <= 1.0:
         raise ValueError(f"alpha must exceed 1 for the expected bound, got {a}")
-    tau = tau_m / (m_window + 1) if use_tau_m else tau_1
     d_max = max(gaps)
-    big_d = (1 / tau**2) * sum(4 * a / g**2 for g in _pair_min_gaps(gaps))
+    big_d = (1 / tau_1**2) * sum(4 * a / g**2 for g in _pair_min_gaps(gaps))
     head = (8 + c_delta(a, m_window, k, 0.5) * (2 * a - 1) / (a - 1)) * d_max
     log_t = math.log(t_horizon)
-    tail = sum(2 * a * (g + 4 * d_max) / (tau**2 * g**2) * log_t for g in gaps)
+    tail = sum(2 * a * (g + 4 * d_max) / (tau_1**2 * g**2) * log_t for g in gaps)
     return head + 2 * big_d * math.log(2 * big_d) * d_max + tail
 
 

@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--alpha", type=float, required=True)
     r.add_argument("--window", dest="m_window", type=int)
     r.add_argument("--tau1", dest="tau_1", type=float)
-    r.add_argument("--tau-m", type=float)
-    r.add_argument("--use-tau-m", action="store_true")
 
     for name, function in (
         ("n-schedule", bounds.n_schedule),

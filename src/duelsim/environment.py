@@ -20,10 +20,9 @@ The environment keeps only the undelivered wins that can still be observed,
 those landing by horizon + 1, keyed by landing step: O(pending wins), not
 O(t).  Each step's conversions are handed out once: observing t removes them.
 The full censored view Y_{s,t} is the running union of those deliveries.
-Aggregated mode hands out counts only: play_run queues one sorted int64
-array of landing steps, one entry per win, counted with searchsorted, and
-step queues a count per landing step, which the next play_run sorts into
-the array.
+Aggregated mode hands out counts only and plays by play_run only: it
+queues one sorted int64 array of landing steps, one entry per win, counted
+with searchsorted.
 """
 
 from __future__ import annotations
@@ -139,10 +138,9 @@ class DuelingEnvironment:
         self._mu: list[list[float]] = matrix.mu.tolist()
         self.t = 1  # next step to play
         # undelivered wins: the outcomes by landing step, or if aggregated
-        # the sorted landing steps, one per win, plus step's counts by landing step
+        # the sorted landing steps, one per win
         self._landings: dict[int, list[PendingOutcome]] | np.ndarray
         self._landings = np.empty(0, dtype=np.int64) if aggregated else {}
-        self._step_counts: dict[int, int] = {}
         self._start = 1 - DRAW_CHUNK  # first step of the drawn chunk; none drawn yet
         self._uniforms = self._delays = np.empty(0, dtype=np.int64)  # int64 keeps delays integral
         self._lists: tuple[list[float], list[int]] | None = None  # step's copy of the chunk
@@ -155,6 +153,8 @@ class DuelingEnvironment:
 
     def step(self, u: int, v: int) -> PendingOutcome:
         """Play (u, v) at the current step and advance time by one."""
+        if self.aggregated:
+            raise ModeMismatch("aggregated mode plays by play_run only")
         if not (0 <= u < self.k and 0 <= v < self.k):
             raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
         t = self.t
@@ -169,15 +169,12 @@ class DuelingEnvironment:
         d = self._lists[1][i]
         out = PendingOutcome(t, u, v, x, d)
         if x == 1 and t + d <= self.horizon + 1:  # a later win is never observed
-            if self.aggregated:  # O(1): an array insert copies every pending win
-                self._step_counts[t + d] = self._step_counts.get(t + d, 0) + 1
-            else:
-                self._landings.setdefault(t + d, []).append(out)
+            self._landings.setdefault(t + d, []).append(out)
         self.t = t + 1
         return out
 
     def play_run(self, u: int, v: int, n: int) -> list[PendingOutcome] | int:
-        """Play (u, v) at steps t..t+n-1, the same plays as n step calls.
+        """Play (u, v) at steps t..t+n-1, as n standard-mode step calls would.
 
         Returns the conversions landing strictly inside the run, at steps
         t+1..t+n-1, in the order observe_new (a list, by landing step, then
@@ -204,11 +201,6 @@ class DuelingEnvironment:
         lands = wins + win_delays  # landing steps, less t
         self.t = end
         if self.aggregated:  # an integer sum does not depend on the order
-            counts = self._step_counts
-            if counts:  # step's wins join the array; the merge below is O(pending) too
-                stepped = np.fromiter(counts, np.int64, len(counts)).repeat(list(counts.values()))
-                self._landings = np.sort(np.concatenate((self._landings, stepped)))
-                counts.clear()
             late = lands[lands >= n]
             due = self._pop_landings(t + 1, end)  # queued wins, all played before t
             if late.size:
@@ -253,12 +245,12 @@ class DuelingEnvironment:
         if not self.aggregated:
             raise ModeMismatch("environment is not in aggregated mode")
         self._check_time(t)
-        return self._step_counts.pop(t, 0) + self._pop_landings(t, t + 1)
+        return self._pop_landings(t, t + 1)
 
     def _pop_landings(self, first: int, end: int) -> int:
         """Unqueue the aggregated wins landing at steps first..end-1; their count."""
         queue = self._landings
-        if not queue.size:  # per-step play queues none
+        if not queue.size:
             return 0
         lo, hi = queue.searchsorted((first, end)).tolist()
         if lo < hi:

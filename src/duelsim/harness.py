@@ -130,7 +130,8 @@ def run_one(
     play_run builds one PendingOutcome per in-run win, and at most
     DRAW_CHUNK plays in aggregated mode, where it returns a count and holds
     only numpy arrays; the cap changes no trace, since the pair order comes
-    from the quotas alone.  Other policies play step by step.
+    from the quotas alone.  Other policies play step by step, which
+    aggregated mode refuses with ModeMismatch.
     policy_factory(matrix, rng) overrides the named policy (used for
     scripted policies in tests).
     """

@@ -232,13 +232,28 @@ class TestRucbExpectedBound:
         assert rucb_delay_expected_bound(**base) == pytest.approx(expect1, rel=1e-9)
         assert rucb_delay_expected_bound(**half) == pytest.approx(expect2, rel=1e-9)
 
-    def test_tau_m_substitution_option(self):
-        swapped = rucb_delay_expected_bound(
-            k=3, t_horizon=10**4, gaps=(0.1, 0.3), alpha=1.5, m_window=20, tau_1=0.3, tau_m=0.9,
-            use_tau_m=True,
+    @pytest.mark.parametrize(
+        ("args", "tau_m", "expected"),
+        [
+            (dict(k=3, t_horizon=10**4, gaps=(0.1, 0.3), alpha=1.5, m_window=20), 0.9,
+             8056020.8139398545),
+            (dict(k=2, t_horizon=10**5, gaps=(0.2,), alpha=2.0, m_window=1), 1.0,
+             6969.244659504167),
+            (dict(k=5, t_horizon=10**5, gaps=(0.1, 0.2, 0.3, 0.4), alpha=2.0, m_window=1000),
+             0.5, 358395894635.7762),
+            (dict(k=4, t_horizon=2 * 10**5, gaps=(0.05, 0.1, 0.15), alpha=1.2, m_window=99),
+             0.3, 6071911219.188229),
+        ],
+    )
+    def test_up_front_tau_form(self, args, tau_m, expected):
+        # tau_1 = tau_m / (M + 1) gives, to the bit, what the former
+        # use_tau_m=True switch printed for these inputs
+        tau_1 = tau_m / (args["m_window"] + 1)
+        assert rucb_delay_expected_bound(**args, tau_1=tau_1) == expected
+        manual = oracle_rucb_expected(
+            args["k"], args["t_horizon"], args["gaps"], args["alpha"], args["m_window"], tau_1
         )
-        manual = oracle_rucb_expected(3, 10**4, (0.1, 0.3), 1.5, 20, 0.9 / 21)
-        assert swapped == pytest.approx(manual, rel=1e-9)
+        assert expected == pytest.approx(manual, rel=1e-9)
 
     def test_oracle_grid(self):
         rng = np.random.default_rng(3)
@@ -345,9 +360,7 @@ class TestPurity:
 # ---------------------------------------------------------------------------
 
 EXTREMES = [0, -1, math.nan, math.inf, -math.inf, 1e-300, 1e300]
-RUCB_INPUTS = dict(
-    k=3, t_horizon=10**4, gaps=(0.1, 0.3), alpha=1.5, m_window=20, tau_1=0.3, tau_m=0.9
-)
+RUCB_INPUTS = dict(k=3, t_horizon=10**4, gaps=(0.1, 0.3), alpha=1.5, m_window=20, tau_1=0.3)
 MRR_INPUTS = dict(k=3, t_horizon=10**4, gaps=(0.1, 0.3), mean_delay=5.0)
 # name -> (calculator taking keyword arguments, valid arguments)
 CALCULATORS = {
@@ -358,9 +371,6 @@ CALCULATORS = {
     ),
     "lower_bound_value": (lower_bound_value, dict(k=10, t_horizon=10**5, tau_m=1.0)),
     "rucb_delay_expected_bound": (rucb_delay_expected_bound, RUCB_INPUTS),
-    "rucb_delay_expected_bound(use_tau_m)": (
-        partial(rucb_delay_expected_bound, use_tau_m=True), RUCB_INPUTS
-    ),
     "mrr_expected_bound": (mrr_expected_bound, MRR_INPUTS),
 }
 # the smallest valid call of each expected-regret calculator
@@ -430,7 +440,7 @@ class TestRobustness:
             (mrr_expected_bound, dict(mean_delay=-5.0), "mean delay must be finite and >= 0, got -5.0"),
             (rucb_delay_expected_bound, dict(alpha=math.inf), "alpha must be finite and > 1/2, got inf"),
             (rucb_delay_expected_bound, dict(m_window=0), "window M must be >= 1, got 0"),
-            (rucb_delay_expected_bound, dict(tau_m=1.5), "tau_m must be in (0, 1], got 1.5"),
+            (rucb_delay_expected_bound, dict(tau_1=1.5), "tau_1 must be in (0, 1], got 1.5"),
         ],
     )
     def test_calculator_domains(self, calculator, args, message):

@@ -135,6 +135,23 @@ class TestBoundsCommand:
         expected = rucb_delay_expected_bound(k=3, t_horizon=10000, gaps=(0.1, 0.2), alpha=2.0)
         assert out == f"{expected}\n"
 
+    def test_rucb_expected_up_front_tau(self, capsys):
+        # the paper's up-front form passes tau_1 = tau_m / (M + 1), here 0.9 / 21
+        code, out, _ = run_cli(
+            capsys, "bounds", "rucb-expected", "--k", "3", "--T", "10000",
+            "--gaps", "0.1,0.3", "--alpha", "1.5", "--window", "20",
+            "--tau1", repr(0.9 / 21),
+        )
+        assert code == 0
+        assert out == "8056020.8139398545\n"
+
+    @pytest.mark.parametrize("removed", [["--tau-m", "0.9"], ["--use-tau-m"]])
+    def test_rucb_expected_reads_tau1_only(self, capsys, removed):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bounds", *RUCB, "--T", "100", "--alpha", "2", *removed])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+
     def test_rucb_expected_alpha_one_fails_cleanly(self, capsys):
         code, out, err = run_cli(
             capsys, "bounds", "rucb-expected", "--k", "2", "--T", "10000",

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,16 +213,37 @@ class TestObservation:
 def queued(env):
     """The undelivered wins as an exact value to compare between twins: the
     outcomes by landing step, or when aggregated the sorted list of landing
-    steps, one per win, from the array (checked to be sorted) and step's
-    counts; nothing past horizon + 1."""
+    steps, one per win (checked to be sorted); nothing past horizon + 1."""
     if not env.aggregated:
         return env._landings
     steps = env._landings.tolist()
     assert steps == sorted(steps)
-    assert all(c >= 1 for c in env._step_counts.values())
-    steps = sorted(steps + [s for s, c in env._step_counts.items() for _ in range(c)])
     assert max(steps, default=0) <= env.horizon + 1
     return steps
+
+
+def twin_queued(twin, aggregated):
+    """queued() of an environment in that mode, from its standard-mode twin on
+    the same seed and plays: the twin's outcomes, or when aggregated their
+    landing steps, one per queued outcome."""
+    if not aggregated:
+        return queued(twin)
+    return sorted(s for s, outs in twin._landings.items() for _ in outs)
+
+
+def as_delivered(outs, aggregated):
+    """A standard-mode delivery as the aggregated one counts it."""
+    return len(outs) if aggregated else outs
+
+
+def observe(env, t):
+    """What env hands out at t: a count when aggregated, else the outcomes."""
+    return env.observe_aggregated(t) if env.aggregated else env.observe_new(t)
+
+
+def play(env, u, v):
+    """One play: step, or in aggregated mode, which plays by play_run only, a run of one."""
+    return env.play_run(u, v, 1) if env.aggregated else env.step(u, v)
 
 
 def pending_wins(env):
@@ -252,7 +271,7 @@ class TestDelivery:
         assert std.observe_new(3) == []
         agg = self._env(aggregated=True)
         for _ in range(3):
-            agg.step(0, 1)
+            agg.play_run(0, 1, 1)
         assert agg.observe_aggregated(3) == 1
         assert agg.observe_aggregated(3) == 0
 
@@ -260,52 +279,27 @@ class TestDelivery:
     def test_undelivered_wins_stay_bounded(self, aggregated):
         # every play wins and lands 100 steps later: at most 100 are pending
         env = self._env(aggregated, delay=deterministic(100))
-        observe = env.observe_aggregated if aggregated else env.observe_new
         peak = 0
         for t in range(1, 5001):
-            observe(t)
-            env.step(0, 1)
+            observe(env, t)
+            play(env, 0, 1)
             peak = max(peak, pending_wins(env))
         assert peak == 100
 
     @pytest.mark.parametrize("delay", [deterministic(3), geometric(0.5)])
     def test_aggregated_counts_are_python_ints(self, delay):
         env = self._env(aggregated=True, delay=delay)
-        counts = []
-        for t in range(1, 51):
-            counts.append(env.observe_aggregated(t))
-            env.step(0, 1)
+        counts = []  # at each run's first step, then the wins landing inside it
+        while env.t <= 60:
+            counts.append(env.observe_aggregated(env.t))
+            counts.append(env.play_run(0, 1, 1 + env.t % 3))
         assert all(type(c) is int for c in counts)
         assert sum(counts) > 0
 
-    def test_step_win_does_not_copy_the_pending_wins(self):
-        # 2,000 observe/step calls, each queueing a win, take about as long
-        # behind 24 draw chunks of pending wins as behind one; a sorted-array
-        # insert per win made the first loop 10x as long or more
-        mu = np.full((2, 2), 0.5)
-        mu[0, 1], mu[1, 0] = 1.0, 0.0
-
-        def loop_seconds(chunks):
-            env = DuelingEnvironment(
-                validate_matrix(mu), deterministic(10**6), np.random.default_rng(0),
-                horizon=2 * 10**6, aggregated=True,
-            )
-            for _ in range(chunks):
-                env.play_run(0, 1, DRAW_CHUNK)  # every play wins and lands after the loop
-            assert pending_wins(env) == chunks * DRAW_CHUNK
-            start = time.perf_counter()
-            for t in range(env.t, env.t + 2000):
-                env.observe_aggregated(t)
-                env.step(0, 1)
-            return time.perf_counter() - start
-
-        few, many = (min(loop_seconds(c) for _ in range(3)) for c in (1, 24))
-        assert many < 4 * few
-
 
 class TestPlayRun:
-    """play_run(u, v, n) against n step calls on a twin environment; the
-    longest run spans two draw chunks."""
+    """play_run(u, v, n) against n step calls on a standard-mode twin with the
+    same seed; the longest run spans two draw chunks."""
 
     LAWS = {
         "det:1": deterministic(1),
@@ -318,12 +312,13 @@ class TestPlayRun:
 
     @staticmethod
     def _twins(delay, aggregated, horizon, seed=3):
+        """An environment in the given mode and its standard-mode twin."""
         return [
             DuelingEnvironment(
                 arithmetic_matrix(4), delay, np.random.default_rng(seed), horizon=horizon,
-                aggregated=aggregated,
+                aggregated=mode,
             )
-            for _ in range(2)
+            for mode in (aggregated, False)
         ]
 
     @pytest.mark.parametrize("cut", [False, True])
@@ -335,29 +330,27 @@ class TestPlayRun:
         # landings; otherwise T lies far beyond every landing
         horizon = 40 + n if cut else 10**6
         run_env, step_env = self._twins(self.LAWS[law], aggregated, horizon)
-        for env in (run_env, step_env):
-            observe = env.observe_aggregated if aggregated else env.observe_new
-            for t in range(1, 41):  # wins of earlier plays stay queued across the run
-                observe(t)
-                env.step(t % 4, (t + 1) % 4)
-            observe(41)
+        for t in range(1, 41):  # wins of earlier plays stay queued across the run
+            assert observe(run_env, t) == as_delivered(step_env.observe_new(t), aggregated)
+            play(run_env, t % 4, (t + 1) % 4)
+            step_env.step(t % 4, (t + 1) % 4)
+        assert observe(run_env, 41) == as_delivered(step_env.observe_new(41), aggregated)
         got = run_env.play_run(2, 0, n)
-        observe = step_env.observe_aggregated if aggregated else step_env.observe_new
         step_env.step(2, 0)
-        want = 0 if aggregated else []
+        want = []
         for t in range(42, 41 + n):
-            want += observe(t)
+            want += step_env.observe_new(t)
             step_env.step(2, 0)
-        assert got == want
+        assert got == as_delivered(want, aggregated)
         assert run_env.t == step_env.t == 41 + n
         assert run_env.rng.bit_generator.state == step_env.rng.bit_generator.state
-        assert queued(run_env) == queued(step_env)
+        assert queued(run_env) == twin_queued(step_env, aggregated)
         if cut:
             assert max(queued(run_env), default=0) <= horizon + 1
-            last = run_env.observe_aggregated if aggregated else run_env.observe_new
-            assert last(horizon + 1) == self._landing_at(law, aggregated, n, horizon + 1)
+            want = as_delivered(self._landing_at(law, n, horizon + 1), aggregated)
+            assert observe(run_env, horizon + 1) == want
 
-    def _landing_at(self, law, aggregated, n, step):
+    def _landing_at(self, law, n, step):
         """The wins of test_matches_step_calls' plays landing exactly at step,
         from the drawn chunks, as in TestDrawContract.test_chunk_layout."""
         ref = np.random.default_rng(3)
@@ -368,12 +361,11 @@ class TestPlayRun:
         uniforms, delays = np.concatenate(uniforms).tolist(), np.concatenate(delays).tolist()
         mu = arithmetic_matrix(4).mu
         pairs = [(s % 4, (s + 1) % 4) for s in range(1, 41)] + [(2, 0)] * n
-        wins = [
+        return [
             PendingOutcome(s, u, v, 1, delays[s - 1])
             for s, (u, v) in enumerate(pairs, 1)
             if uniforms[s - 1] < mu[u, v] and s + delays[s - 1] == step
         ]
-        return len(wins) if aggregated else wins
 
     @pytest.mark.parametrize("aggregated", [False, True])
     def test_longest_delays_never_land_inside_a_run(self, aggregated):
@@ -382,19 +374,18 @@ class TestPlayRun:
         run_env, step_env = (
             DuelingEnvironment(
                 builtin("mslr"), geometric(1e-300), np.random.default_rng(0), horizon=1000,
-                aggregated=aggregated,
+                aggregated=mode,
             )
-            for _ in range(2)
+            for mode in (aggregated, False)
         )
         got = run_env.play_run(0, 1, 1000)
-        observe = step_env.observe_aggregated if aggregated else step_env.observe_new
         step_env.step(0, 1)
-        want = 0 if aggregated else []
+        want = []
         for t in range(2, 1001):
-            want += observe(t)
+            want += step_env.observe_new(t)
             step_env.step(0, 1)
-        assert got == want == (0 if aggregated else [])
-        assert queued(run_env) == queued(step_env)
+        assert got == as_delivered(want, aggregated) == as_delivered([], aggregated)
+        assert queued(run_env) == twin_queued(step_env, aggregated)
         assert pending_wins(run_env) == 0  # the wins land far past T + 1: none is queued
 
     def test_long_run_leaves_only_late_wins_queued(self):
@@ -458,7 +449,7 @@ def play_splits(draw):
 
 class TestDrawContract:
     """A trace depends on the sequence of plays only, not on how step and
-    play_run split it."""
+    play_run split it; in aggregated mode, against a standard-mode twin."""
 
     @pytest.mark.parametrize("aggregated", [False, True])
     @pytest.mark.parametrize("law", list(SPLIT_LAWS))
@@ -468,31 +459,29 @@ class TestDrawContract:
         ref, env = (
             DuelingEnvironment(
                 arithmetic_matrix(4), SPLIT_LAWS[law], np.random.default_rng(7),
-                horizon=2 * DRAW_CHUNK, aggregated=aggregated,
+                horizon=2 * DRAW_CHUNK, aggregated=mode,
             )
-            for _ in range(2)
-        )
-        ref_observe, observe = (
-            e.observe_aggregated if aggregated else e.observe_new for e in (ref, env)
+            for mode in (False, aggregated)
         )
         for n, u, v, by_step in segments:
             t = env.t
-            assert observe(t) == ref_observe(t)
+            assert observe(env, t) == as_delivered(ref.observe_new(t), aggregated)
             want, seen = [ref.step(u, v)], []
             for s in range(t + 1, t + n):
-                seen.append(ref_observe(s))
+                seen.append(as_delivered(ref.observe_new(s), aggregated))
                 want.append(ref.step(u, v))
             if by_step:
-                got, got_seen = [env.step(u, v)], []
+                got, got_seen = [play(env, u, v)], []
                 for s in range(t + 1, t + n):
-                    got_seen.append(observe(s))
-                    got.append(env.step(u, v))
-                assert (got, got_seen) == (want, seen)
+                    got_seen.append(observe(env, s))
+                    got.append(play(env, u, v))
+                # a run of one play has nothing landing inside it
+                assert (got, got_seen) == ([0] * n if aggregated else want, seen)
             else:
                 delivered = sum(seen) if aggregated else [o for outs in seen for o in outs]
                 assert env.play_run(u, v, n) == delivered
         assert env.t == ref.t
-        assert queued(env) == queued(ref)
+        assert queued(env) == twin_queued(ref, aggregated)
         assert env.rng.bit_generator.state == ref.rng.bit_generator.state
 
     def test_chunk_layout(self):
@@ -514,10 +503,10 @@ class TestDrawContract:
 
 
 class TestAggregatedMode:
-    def _env(self, seed=0):
+    def _env(self, seed=0, aggregated=True):
         return DuelingEnvironment(
             arithmetic_matrix(5), deterministic(2), np.random.default_rng(seed), horizon=300,
-            aggregated=True,
+            aggregated=aggregated,
         )
 
     def test_mode_mismatch_both_ways(self):
@@ -526,10 +515,40 @@ class TestAggregatedMode:
         )
         with pytest.raises(ModeMismatch):
             std.observe_aggregated(1)
-        agg = self._env()
-        agg.step(0, 1)
+        agg = DuelingEnvironment(
+            arithmetic_matrix(5), deterministic(100), np.random.default_rng(0), horizon=300,
+            aggregated=True,
+        )
+
+        def assert_refused():
+            before = (agg.t, agg.rng.bit_generator.state, queued(agg))
+            with pytest.raises(ModeMismatch, match="aggregated mode plays by play_run only"):
+                agg.step(0, 1)
+            assert (agg.t, agg.rng.bit_generator.state, queued(agg)) == before
+
+        assert_refused()  # step 1 would draw the first chunk
+        agg.play_run(0, 1, 50)
+        assert queued(agg)  # wins landing at 101..150
+        assert_refused()
         with pytest.raises(ModeMismatch):
             agg.observe_new(1)
+
+    def test_per_step_policy_is_refused(self):
+        # run_one plays a policy without select_run by step, which aggregated mode refuses
+
+        class Scripted:
+            def select(self, t):
+                return PolicyAction(0, 1)
+
+            def observe_count(self, t, n):
+                pass
+
+        config = ExperimentConfig(
+            dataset="arithmetic", policy="mrr-delay", delay="det:1", horizon=10, runs=1,
+            aggregated=True,
+        )
+        with pytest.raises(ModeMismatch, match="aggregated mode plays by play_run only"):
+            run_one(config, 0, policy_factory=lambda m, rng: Scripted())
 
     def test_counts_land_at_fixed_offsets(self):
         mu = np.full((2, 2), 0.5)
@@ -538,9 +557,9 @@ class TestAggregatedMode:
             validate_matrix(mu), deterministic(2), np.random.default_rng(1), horizon=3,
             aggregated=True,
         )
-        env.step(0, 1)  # s=1 wins, lands at 3
-        env.step(0, 1)  # s=2 wins, lands at 4
-        env.step(1, 0)  # s=3 loses, never lands
+        env.play_run(0, 1, 1)  # s=1 wins, lands at 3
+        env.play_run(0, 1, 1)  # s=2 wins, lands at 4
+        env.play_run(1, 0, 1)  # s=3 loses, never lands
         assert env.observe_aggregated(2) == 0
         assert env.observe_aggregated(3) == 1
         assert env.observe_aggregated(4) == 1
@@ -563,16 +582,53 @@ class TestAggregatedMode:
             validate_matrix(mu), ScriptedDelay(), np.random.default_rng(0), horizon=2,
             aggregated=True,
         )
-        env.step(0, 1)
-        env.step(0, 1)
+        env.play_run(0, 1, 1)
+        env.play_run(0, 1, 1)
         assert env.observe_aggregated(3) == 2
 
+    @pytest.mark.parametrize("law", ["det:1", "det:300", "geometric:0.5", "geometric:0.01"])
+    def test_counts_to_the_end_match_the_standard_twin(self, law):
+        # runs of random length and pair, one across a draw chunk, play every
+        # step to T; each count, T + 1's included, is the number of outcomes
+        # the twin delivers, and after T + 1 nothing is left queued
+        delay = {
+            "det:1": deterministic(1), "det:300": deterministic(300),
+            "geometric:0.5": geometric(0.5), "geometric:0.01": geometric(0.01),
+        }[law]
+        horizon = DRAW_CHUNK + 500
+        env, twin = (
+            DuelingEnvironment(
+                arithmetic_matrix(4), delay, np.random.default_rng(5), horizon=horizon,
+                aggregated=mode,
+            )
+            for mode in (True, False)
+        )
+        plan = np.random.default_rng(11)
+        while env.t <= horizon:
+            t = env.t
+            n = min(int(plan.integers(1, 700)), horizon + 1 - t)
+            u, v = plan.integers(0, 4, size=2).tolist()
+            assert env.observe_aggregated(t) == len(twin.observe_new(t))
+            inside = 0
+            twin.step(u, v)
+            for s in range(t + 1, t + n):
+                inside += len(twin.observe_new(s))
+                twin.step(u, v)
+            assert env.play_run(u, v, n) == inside
+            assert queued(env) == twin_queued(twin, True)
+        assert env.t == twin.t == horizon + 1
+        assert env.observe_aggregated(horizon + 1) == len(twin.observe_new(horizon + 1))
+        assert pending_wins(env) == 0 and not twin._landings
+
     def test_conservation(self):
-        env = self._env(seed=7)
-        outs = [env.step(0, 1) for _ in range(300)]
+        # the count of every landing equals the standard twin's resolved wins
+        env, twin = self._env(seed=7), self._env(seed=7, aggregated=False)
+        for _ in range(300):
+            env.play_run(0, 1, 1)
+        outs = [twin.step(0, 1) for _ in range(300)]
         total = sum(env.observe_aggregated(t) for t in range(1, env.t + 1))
         resolved_wins = sum(o.x for o in outs if o.s + o.d <= env.t)
-        assert total == resolved_wins
+        assert total == resolved_wins > 0
 
 
 class TestRegret:

@@ -154,16 +154,14 @@ def mrr_cases(draw):
 
 
 def per_step_reference(config, seed, matrix):
-    """run_one for mrr-delay one play at a time: observe, select, step."""
+    """run_one for mrr-delay one play at a time: observe, select, step.
+
+    The environment is always in standard mode, on run_one's seed: the draws
+    and the T + 1 cut do not depend on the mode, so an aggregated policy is
+    fed the count of the wins that land at t."""
     delay = config.delay_distribution()
     env_seq, _ = np.random.SeedSequence(seed).spawn(2)
-    env = DuelingEnvironment(
-        matrix,
-        delay,
-        np.random.default_rng(env_seq),
-        horizon=config.horizon,
-        aggregated=config.aggregated,
-    )
+    env = DuelingEnvironment(matrix, delay, np.random.default_rng(env_seq), horizon=config.horizon)
     policy = make_policy(
         "mrr-delay", k=matrix.k, horizon=config.horizon, delay=delay,
         aggregated=config.aggregated,
@@ -172,7 +170,7 @@ def per_step_reference(config, seed, matrix):
     cumulative, times, regret = 0.0, [], []
     for t in range(1, config.horizon + 1):
         if config.aggregated:
-            policy.observe_count(t, env.observe_aggregated(t))
+            policy.observe_count(t, len(env.observe_new(t)))
         else:
             policy.observe(t, env.observe_new(t))
         u, v = policy.select(t)

@@ -88,14 +88,14 @@ def subcommands(parser):
 
 
 def test_calculators_take_only_checked_arguments():
-    """Each calculator parameter is a constant that COUNTS or DOMAINS names (use_tau_m
-    is a switch), and each `duelsim bounds` subcommand but lower-bound, which picks
-    one of two results, passes its flags straight to a calculator's parameters."""
+    """Each calculator parameter is a constant that COUNTS or DOMAINS names, and each
+    `duelsim bounds` subcommand but lower-bound, which picks one of two results,
+    passes its flags straight to a calculator's parameters."""
     # the functions bounds._calculator wraps, by name
     calculators = {name: f for name, f in vars(bounds).items() if hasattr(f, "__wrapped__")}
     assert len(calculators) == 6
     for name, function in calculators.items():
-        params = set(inspect.signature(function).parameters) - {"use_tau_m"}
+        params = inspect.signature(function).parameters.keys()
         assert params <= bounds.COUNTS.keys() | bounds.DOMAINS.keys(), name
     for command, parser in subcommands(subcommands(cli.build_parser())["bounds"]).items():
         if command == "lower-bound":
@@ -143,7 +143,8 @@ def flags_of(parser, argv):
 def test_readme_cli_block_is_checked(capsys):
     """Every README CLI command parses (argparse exits 2 on an unknown flag) and
     spells each flag in full, since argparse also takes the prefix of a renamed
-    flag; the one that shows its output prints exactly that."""
+    flag; every `bounds` command shows its output, and each command that shows
+    one prints exactly that."""
     commands = readme_cli_commands()
     assert len(commands) == 8
     for argv, _ in commands:
@@ -153,6 +154,8 @@ def test_readme_cli_block_is_checked(capsys):
             pytest.fail(f"README command does not parse: duelsim {shlex.join(argv)}")
         used = {word for word in argv if word.startswith("--")}
         assert used <= flags_of(cli.build_parser(), argv), shlex.join(argv)
-    ((argv, out),) = [(argv, out) for argv, out in commands if out is not None]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == out + "\n"
+    assert all(out is not None for argv, out in commands if argv[0] == "bounds")
+    for argv, out in commands:
+        if out is not None:
+            assert cli.main(argv) == 0, shlex.join(argv)
+            assert capsys.readouterr().out == out + "\n", shlex.join(argv)
