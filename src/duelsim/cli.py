@@ -7,25 +7,33 @@ Subcommands:
 
 Flags are named (dest=) after the ExperimentConfig field or calculator
 parameter they set and are left out when absent, so every default is
-ExperimentConfig's or the calculator's own.
+ExperimentConfig's or the calculator's own. `run` lists its flags by hand;
+each `bounds` subcommand generates its flags and help from its calculator's
+signature and docstring.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import bounds, datasets, policies
 from .errors import DuelSimError
 from .harness import ExperimentConfig, run_many, write_results
 
+# bounds flags not named --<parameter with dashes>
+FLAG_NAMES = {"t_horizon": "--T", "m_window": "--window", "tau_1": "--tau1"}
 
-def _parse_gaps(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+
+# argparse names a type by __name__ in its error: "invalid gaps value: '0.1,'"
+def gaps(text: str) -> tuple[float, ...]:
+    return tuple(map(float, text.split(",")))
 
 
-def _lower_bound(print_delta_star: bool = False, **args) -> float:
-    delta_star, scale = bounds.lower_bound_value(**args)
+def _lower_bound(k: int, t_horizon: int, tau_m: float, print_delta_star: bool = False) -> float:
+    """Regret scale sqrt(T K / tau_M), or with --print-delta-star the hard-instance gap."""
+    delta_star, scale = bounds.lower_bound_value(k, t_horizon, tau_m)
     return delta_star if print_delta_star else scale
 
 
@@ -67,50 +75,24 @@ def build_parser() -> argparse.ArgumentParser:
     bnd = sub.add_parser("bounds", help="evaluate a closed-form calculator")
     calc = bnd.add_subparsers(dest="calculator", required=True)
 
-    def calculator(name, function):
-        """A subparser whose flags are named after function's parameters."""
-        c = calc.add_parser(name, argument_default=argparse.SUPPRESS)
-        c.set_defaults(function=function)
-        return c
-
-    c = calculator("c-delta", bounds.c_delta)
-    c.add_argument("--alpha", type=float, required=True)
-    c.add_argument("--window", dest="m_window", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--delta", type=float, required=True)
-
-    r = calculator("rucb-expected", bounds.rucb_delay_expected_bound)
-    r.add_argument("--k", type=int, required=True)
-    r.add_argument("--T", dest="t_horizon", type=int, required=True)
-    r.add_argument("--gaps", type=_parse_gaps, required=True)
-    r.add_argument("--alpha", type=float, required=True)
-    r.add_argument("--window", dest="m_window", type=int)
-    r.add_argument("--tau1", dest="tau_1", type=float)
-
     for name, function in (
+        ("c-delta", bounds.c_delta),
+        ("rucb-expected", bounds.rucb_delay_expected_bound),
         ("n-schedule", bounds.n_schedule),
         ("n-schedule-aggregated", bounds.n_schedule_aggregated),
+        ("mrr-expected", bounds.mrr_expected_bound),
+        ("lower-bound", _lower_bound),
     ):
-        n = calculator(name, function)
-        n.add_argument("--m", type=int, required=True)
-        n.add_argument("--T", dest="t_horizon", type=int, required=True)
-        n.add_argument("--mean-delay", type=float, required=True)
-
-    m = calculator("mrr-expected", bounds.mrr_expected_bound)
-    m.add_argument("--k", type=int, required=True)
-    m.add_argument("--T", dest="t_horizon", type=int, required=True)
-    m.add_argument("--gaps", type=_parse_gaps, required=True)
-    m.add_argument("--mean-delay", type=float, required=True)
-
-    lb = calculator("lower-bound", _lower_bound)
-    lb.add_argument("--k", type=int, required=True)
-    lb.add_argument("--T", dest="t_horizon", type=int, required=True)
-    lb.add_argument("--tau-m", type=float, required=True)
-    lb.add_argument(
-        "--print-delta-star",
-        action="store_true",
-        help="print the hard-instance gap instead of the regret scale",
-    )
+        summary = inspect.getdoc(function).splitlines()[0]
+        c = calc.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        c.set_defaults(function=function)
+        for p in inspect.signature(function).parameters.values():
+            flag = FLAG_NAMES.get(p.name, "--" + p.name.replace("_", "-"))
+            if p.default is False:
+                c.add_argument(flag, dest=p.name, action="store_true")
+            else:
+                kind = int if p.name in bounds.COUNTS else gaps if p.name == "gaps" else float
+                c.add_argument(flag, dest=p.name, type=kind, required=p.default is p.empty)
 
     ds = sub.add_parser("datasets", help="dataset registry")
     ds.add_argument("action", choices=["list"])

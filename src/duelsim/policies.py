@@ -384,6 +384,8 @@ def make_policy(
         raise ValueError(f"unknown policy {name!r}; known: {known}")
     if aggregated and name != MrrDbDelay.name:
         raise ValueError(f"policy {name!r} cannot consume aggregated anonymous feedback")
+    if rng is None and name in (RucbDelay.name, RucbBaseline.name):
+        raise ValueError(f"policy {name!r} breaks ties at random and needs an rng")
     # no play is older than T at t <= T + 1: a longer window changes no weight
     window = min(window, horizon)
     if name == RucbDelay.name:

@@ -152,6 +152,16 @@ class TestBoundsCommand:
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("listed", ["0.1,,0.2", "0.1,", "a"])
+    def test_malformed_gaps_rejected(self, capsys, listed):
+        with pytest.raises(SystemExit) as exit_:
+            main([
+                "bounds", "mrr-expected", "--k", "3", "--T", "100", "--mean-delay", "1",
+                "--gaps", listed,
+            ])
+        assert exit_.value.code == 2
+        assert f"argument --gaps: invalid gaps value: '{listed}'\n" in capsys.readouterr().err
+
     def test_rucb_expected_alpha_one_fails_cleanly(self, capsys):
         code, out, err = run_cli(
             capsys, "bounds", "rucb-expected", "--k", "2", "--T", "10000",

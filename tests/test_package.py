@@ -81,30 +81,36 @@ def test_bench_trace_targets_resolve():
     assert missing <= {("RucbDelay", "observe_count"), ("RrDbDelay", "observe_count")}
 
 
-def subcommands(parser):
-    """Name -> subparser for parser's one set of subcommands."""
+def subparsers(parser):
+    """parser's one set of subcommands; .choices maps each name to its subparser."""
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
+    return action
 
 
 def test_calculators_take_only_checked_arguments():
     """Each calculator parameter is a constant that COUNTS or DOMAINS names, and each
-    `duelsim bounds` subcommand but lower-bound, which picks one of two results,
-    passes its flags straight to a calculator's parameters."""
+    `duelsim bounds` subcommand has exactly one flag per parameter of its function,
+    required when the parameter has no default, and that function's first
+    docstring line as its help."""
     # the functions bounds._calculator wraps, by name
     calculators = {name: f for name, f in vars(bounds).items() if hasattr(f, "__wrapped__")}
     assert len(calculators) == 6
     for name, function in calculators.items():
         params = inspect.signature(function).parameters.keys()
         assert params <= bounds.COUNTS.keys() | bounds.DOMAINS.keys(), name
-    for command, parser in subcommands(subcommands(cli.build_parser())["bounds"]).items():
-        if command == "lower-bound":
-            continue
+    commands = subparsers(subparsers(cli.build_parser()).choices["bounds"])
+    helps = {choice.dest: choice.help for choice in commands._choices_actions}
+    assert len(commands.choices) == 6
+    for command, parser in commands.choices.items():
         function = parser.get_default("function")
-        assert function in calculators.values(), command
+        # lower-bound picks one of lower_bound_value's two results
+        assert function in [*calculators.values(), cli._lower_bound], command
         params = inspect.signature(function).parameters
         dests = {action.dest for action in parser._actions if action.dest != "help"}
-        assert dests <= params.keys(), command
+        assert dests == params.keys(), command
+        required = {action.dest for action in parser._actions if action.required}
+        assert required == {name for name, p in params.items() if p.default is p.empty}, command
+        assert helps[command] == inspect.getdoc(function).splitlines()[0], command
 
 
 def test_import_leaves_the_process_pool_out():

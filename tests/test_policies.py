@@ -826,6 +826,12 @@ class TestRegistry:
         pol = fresh_policy("mrr-delay", aggregated=True)
         assert pol.aggregated
 
+    @pytest.mark.parametrize("name", ["rucb-delay", "rucb-baseline"])
+    def test_ucb_policy_without_rng_rejected(self, name):
+        # rng=None would build, then fail at the first tied draw
+        with pytest.raises(ValueError, match=f"policy '{name}' breaks ties at random"):
+            make_policy(name, k=5, horizon=2000, delay=geometric(0.1))
+
     def test_default_delta_is_one_over_horizon(self):
         pol = fresh_policy("rrdb-delay", horizon=4000)
         assert pol.delta == pytest.approx(1 / 4000)
