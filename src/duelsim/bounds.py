@@ -42,10 +42,15 @@ def check_count(name: str, x, low: int) -> int:
     return int(x)
 
 
+def is_real(x) -> bool:
+    """x is a real number (int, float or numpy scalar), never bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def check_domain(arg: str, x) -> None:
-    """Fail with one line unless x lies in DOMAINS[arg]."""
+    """Fail with one line unless x lies in DOMAINS[arg]; a scalar must be real."""
     name, domain, inside = DOMAINS[arg]
-    if not inside(x):
+    if not (arg == "gaps" or is_real(x)) or not inside(x):
         raise ValueError(f"{name} must be {domain}, got {x}")
 
 

@@ -6,6 +6,7 @@ matrices ship under duelsim/data/; see data/README.md for provenance.
 
 from __future__ import annotations
 
+import os
 from importlib import resources
 
 import numpy as np
@@ -116,8 +117,10 @@ def _unknown(name: str, reason: str = "") -> str:
     return f"unknown dataset {name!r}{reason}; built-ins are: {', '.join(sorted(BUILTIN_SPECS))}"
 
 
-def resolve(spec: str) -> PreferenceMatrix:
+def resolve(spec: str | os.PathLike) -> PreferenceMatrix:
     """Dataset by built-in name, or by path to a CSV file."""
+    if not isinstance(spec, (str, os.PathLike)):  # an int would open a file descriptor
+        raise ValueError(_unknown(spec))
     if spec in BUILTIN_SPECS:
         return builtin(spec)
     try:

@@ -31,7 +31,3 @@ class OutOfOrder(DuelSimError):
 
 class UnknownPlay(DuelSimError):
     """A conversion refers to a play that is not in the window."""
-
-
-class NoData(DuelSimError):
-    """A preference estimate was requested for a pair with no usable plays."""

@@ -28,8 +28,10 @@ of one table ext[i] = tau(clip(2M - i, 0, M)), with d = t - last_t - 1
 clamped to [-M, M], and a whole-matrix query is one bincount that adds
 each pair's weights oldest first.
 
-rucb-delay (log term log t, via ucb_matrix) and rrdb-delay (alpha 1, log
-term log(K t / delta)) rank pairs by one delay-corrected bound, corrected_bounds.
+The one statistics query is matrices(t), the whole K x K arrays N, Ntilde
+and S; S/Ntilde is the unbiased, unclipped preference estimate.  rucb-delay
+(log term log t, via ucb_matrix) and rrdb-delay (alpha 1, log term
+log(K t / delta)) rank pairs by one delay-corrected bound, corrected_bounds.
 
 Call discipline per step t: ingest the conversions that land at t, then
 query (statistics describe plays up to t-1), then record the play at t.
@@ -42,7 +44,7 @@ import math
 import numpy as np
 
 from .bounds import check_count
-from .errors import NoData, OutOfOrder, UnknownPlay
+from .errors import OutOfOrder, UnknownPlay
 
 
 class DelayCorrectedEstimator:
@@ -62,6 +64,8 @@ class DelayCorrectedEstimator:
         self.tau_m = float(tau_table[m_window])
 
         self.n = np.zeros((k, k), dtype=np.int64)
+        self._n_read = self.n.view()  # the N that matrices() hands out
+        self._n_read.flags.writeable = False
         # plays folded out of the window, per ordered pair
         self._folded_plays = np.zeros((k, k), dtype=np.float64)
         # landed wins per ordered pair, in the window or folded out of it
@@ -125,29 +129,12 @@ class DelayCorrectedEstimator:
             self._wins[u, v] += 1.0
         return True
 
-    # -- per-pair queries --------------------------------------------------
-
-    def pair_stats(self, i: int, j: int, t: int) -> tuple[int, float, float, float]:
-        """(N_ij, Ntilde_ij, S_ij, S_ji) for pair {i, j} at step t."""
-        n, n_tilde, s = self._stats(t)
-        return int(n[i, j]), float(n_tilde[i, j]), float(s[i, j]), float(s[j, i])
-
-    def mu_hat(self, i: int, j: int, t: int) -> float:
-        """Unbiased preference estimate S/Ntilde; deliberately unclipped."""
-        _, n_tilde, s_ij, _ = self.pair_stats(i, j, t)
-        if n_tilde == 0.0:
-            raise NoData(f"no discounted plays of pair ({i}, {j}) by t={t}")
-        return s_ij / n_tilde
-
-    # -- whole-matrix queries -----------------------------------------------
+    # -- queries ----------------------------------------------------------
 
     def matrices(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(N, Ntilde, S) as K x K arrays at step t; N is a copy."""
-        n, n_tilde, s = self._stats(t)
-        return n.copy(), n_tilde, s
-
-    def _stats(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """matrices(t), but N is the live count array, not a copy."""
+        """(N, Ntilde, S) as K x K arrays at step t.  N is a read-only view of
+        the live counts, not a copy: writing through it raises, and it follows
+        later record_play calls."""
         k = self.k
         m = self.m_window
         h = (self.last_t + 1) % m
@@ -158,11 +145,11 @@ class DelayCorrectedEstimator:
         y = self._wins
         n_tilde = a + a.T
         s = y + (a.T - y.T)
-        return self.n, n_tilde, s
+        return self._n_read, n_tilde, s
 
     def ucb_matrix(self, t: int, alpha: float) -> np.ndarray:
         """corrected_bounds at step t with log term log t."""
-        return corrected_bounds(*self._stats(t), alpha, math.log(t))
+        return corrected_bounds(*self.matrices(t), alpha, math.log(t))
 
 
 def corrected_bounds(n, n_tilde, s, alpha: float, log_term: float) -> np.ndarray:

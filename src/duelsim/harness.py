@@ -44,9 +44,15 @@ class ExperimentConfig:
         for name in ("horizon", "runs", "window", "trace_stride", "workers"):
             bounds.check_count(name, getattr(self, name), 1)
         bounds.check_count("base_seed", self.base_seed, 0)
+        if not isinstance(self.dataset, str):
+            raise ValueError(f"dataset must be a built-in name or CSV path, got {self.dataset!r}")
+        if not isinstance(self.policy, str):
+            raise ValueError(f"policy must be a policy name, got {self.policy!r}")
         if not isinstance(self.delay, str):
             forms = "geometric:<p> | det:<d> | uniform:<lo>,<hi> | table:<file>"
             raise ValueError(f"delay must be a spec string {forms}, got {self.delay!r}")
+        if not isinstance(self.aggregated, bool):
+            raise ValueError(f"aggregated must be True or False, got {self.aggregated!r}")
 
     def delay_distribution(self) -> DelayDistribution:
         return parse_delay_spec(self.delay)

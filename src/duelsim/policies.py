@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import check_domain, n_schedule, n_schedule_aggregated
+from .bounds import check_domain, is_real, n_schedule, n_schedule_aggregated
 from .estimator import DelayCorrectedEstimator, corrected_bounds
 
 
@@ -107,7 +107,7 @@ class RucbDelay:
         tau_table: np.ndarray,
         rng: np.random.Generator,
     ):
-        if not 1.0 <= alpha < math.inf:
+        if not (is_real(alpha) and 1.0 <= alpha < math.inf):
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         self.k = k
         self.alpha = alpha
@@ -396,7 +396,8 @@ def make_policy(
         return RucbBaseline(k, alpha=alpha, rng=rng)
     if name == RrDbDelay.name:
         delta = delta if delta is not None else 1.0 / horizon
-        if 0.0 < delta and not math.isfinite(k * horizon / delta):
+        check_domain("delta", delta)  # before the overflow test divides by it
+        if not math.isfinite(k * horizon / delta):
             raise ValueError(
                 f"delta {delta} too small: K*T/delta overflows for K={k}, T={horizon}"
             )

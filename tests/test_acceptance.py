@@ -29,6 +29,7 @@ from duelsim import (
 from duelsim.cli import main
 from reference_rucb import classical_rucb_actions
 from test_bounds import oracle_mrr_expected, oracle_rucb_expected
+from test_estimator import mu_hat, pair_stats
 
 DESK = dict(
     dataset="arithmetic",
@@ -83,7 +84,7 @@ def test_criterion_1_estimator_identity():
             est.ingest_conversion(*event)
         u = int(us[t - 1])
         v = int(vs[t - 1])
-        _, n_tilde, s_ij, s_ji = est.pair_stats(u, v, t)
+        _, n_tilde, s_ij, s_ji = pair_stats(est, u, v, t)
         gap = abs(s_ij + s_ji - n_tilde) / max(1.0, n_tilde)
         if gap > worst:
             worst = gap
@@ -127,7 +128,7 @@ def test_criterion_2_estimator_unbiased():
                     d = int(ds[t - 1])
                     if d <= m:
                         pending.setdefault(t + d, []).append((t, u, v))
-        estimates[r] = est.mu_hat(0, 1, plays + 1)
+        estimates[r] = mu_hat(est, 0, 1, plays + 1)
     elapsed = time.perf_counter() - start
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1) / math.sqrt(reps))

@@ -12,7 +12,7 @@ from duelsim import (
     geometric,
     uniform_delay,
 )
-from duelsim.errors import NoData, OutOfOrder, UnknownPlay
+from duelsim.errors import OutOfOrder, UnknownPlay
 
 
 def make_est(k=3, m=50, p=0.1):
@@ -25,14 +25,16 @@ def window_size(est):
     return int(np.count_nonzero(est._keys[: est.m_window] != est._empty))
 
 
-def pair_ucb(est, i, j, t, alpha):
-    """One pair's optimistic bound from pair_stats, evaluated scalar by scalar."""
-    if i == j:
-        return 0.5
-    n, n_tilde, s_ij, _ = est.pair_stats(i, j, t)
-    if n_tilde == 0.0:
-        return 1.0
-    return s_ij / n_tilde + math.sqrt(alpha * n * math.log(t) / (n_tilde * n_tilde))
+def pair_stats(est, i, j, t):
+    """(N_ij, Ntilde_ij, S_ij, S_ji) for pair {i, j} at step t, read from matrices(t)."""
+    n, n_tilde, s = est.matrices(t)
+    return int(n[i, j]), float(n_tilde[i, j]), float(s[i, j]), float(s[j, i])
+
+
+def mu_hat(est, i, j, t):
+    """The preference estimate S_ij / Ntilde_ij at step t, unclipped."""
+    _, n_tilde, s_ij, _ = pair_stats(est, i, j, t)
+    return s_ij / n_tilde
 
 
 def brute_force_stats(plays, conversions, i, j, t, m, tau):
@@ -101,7 +103,7 @@ class TestIngestConversion:
         est.record_play(0, 1, 1)
         est.record_play(0, 2, 2)
         est.ingest_conversion(1, 0, 1)
-        assert est.pair_stats(0, 1, 4)[2] == 1.0
+        assert pair_stats(est, 0, 1, 4)[2] == 1.0
 
     def test_conversion_at_age_m_plus_one_discarded(self):
         est, dist = make_est(m=5)
@@ -109,9 +111,9 @@ class TestIngestConversion:
         for t in range(2, 8):
             est.record_play(1, 2, t)
         # last record at t=7 folded the s=1 play (age 6 > 5)
-        before = est.pair_stats(0, 1, 7)[2]
+        before = pair_stats(est, 0, 1, 7)[2]
         assert est.ingest_conversion(1, 0, 1) is False
-        assert est.pair_stats(0, 1, 7)[2] == before
+        assert pair_stats(est, 0, 1, 7)[2] == before
 
     def test_conversion_at_age_exactly_m_counts(self):
         est, dist = make_est(m=5)
@@ -121,7 +123,7 @@ class TestIngestConversion:
         # conversions landing at t=6 are ingested before the play at t=6
         assert est.ingest_conversion(1, 0, 1) is True
         est.record_play(1, 2, 6)
-        n, n_tilde, s01, _ = est.pair_stats(0, 1, 6)
+        n, n_tilde, s01, _ = pair_stats(est, 0, 1, 6)
         assert s01 == 1.0
 
     def test_double_conversion_idempotent(self):
@@ -129,7 +131,7 @@ class TestIngestConversion:
         est.record_play(0, 1, 1)
         est.ingest_conversion(1, 0, 1)
         est.ingest_conversion(1, 0, 1)
-        assert est.pair_stats(0, 1, 3)[2] == 1.0
+        assert pair_stats(est, 0, 1, 3)[2] == 1.0
 
     def test_unknown_play_raises(self):
         est, _ = make_est()
@@ -144,7 +146,7 @@ class TestDiscountedCount:
     def test_single_play_weight_is_tau_of_age(self):
         est, dist = make_est(p=0.01)
         est.record_play(0, 1, 1)
-        assert est.pair_stats(0, 1, 3)[1] == pytest.approx(1 - 0.99**2)  # 0.0199
+        assert pair_stats(est, 0, 1, 3)[1] == pytest.approx(1 - 0.99**2)  # 0.0199
 
     def test_no_delay_reduces_to_plain_count(self):
         dist = deterministic(1)
@@ -155,7 +157,7 @@ class TestDiscountedCount:
             est.record_play(u, v, t)
         for i in range(3):
             for j in range(3):
-                assert est.pair_stats(i, j, 100)[1] == est.n[i, j]
+                assert pair_stats(est, i, j, 100)[1] == est.n[i, j]
 
     def test_old_play_contributes_exactly_tau_m(self):
         est, dist = make_est(m=10)
@@ -163,9 +165,9 @@ class TestDiscountedCount:
         for t in range(2, 30):
             est.record_play(1, 2, t)
         tau_m = dist.tau(10)
-        assert est.pair_stats(0, 1, 30)[1] == pytest.approx(tau_m + 0.0, abs=1e-12)
+        assert pair_stats(est, 0, 1, 30)[1] == pytest.approx(tau_m + 0.0, abs=1e-12)
         # still tau_m much later
-        assert est.pair_stats(0, 1, 300)[1] == pytest.approx(tau_m, abs=1e-12)
+        assert pair_stats(est, 0, 1, 300)[1] == pytest.approx(tau_m, abs=1e-12)
 
     def test_bracketed_by_tau1_and_tau_m_times_n(self):
         est, dist = make_est(k=2, m=30, p=0.2)
@@ -174,7 +176,7 @@ class TestDiscountedCount:
             pair = (0, 1) if rng.random() < 0.5 else (1, 0)
             est.record_play(*pair, t)
         # query one step past the last play so every entry has age >= 1
-        n, n_tilde, _, _ = est.pair_stats(0, 1, 400)
+        n, n_tilde, _, _ = pair_stats(est, 0, 1, 400)
         assert dist.tau(1) * n <= n_tilde <= dist.tau(30) * n
 
     def test_time_gaps_fold_multiple_entries(self):
@@ -184,11 +186,11 @@ class TestDiscountedCount:
         est.record_play(1, 2, 50)  # ages 49, 48, 47 all fold at once
         assert window_size(est) == 1
         tau_m = dist.tau(10)
-        assert est.pair_stats(0, 1, 51)[1] == pytest.approx(3 * tau_m)
+        assert pair_stats(est, 0, 1, 51)[1] == pytest.approx(3 * tau_m)
         # conversions for the folded plays are quietly discarded
         assert est.ingest_conversion(2, 0, 1) is False
-        assert est.pair_stats(0, 1, 51)[2] == 0.0  # no wins ever landed for arm 0
-        assert est.pair_stats(1, 0, 51)[2] == pytest.approx(3 * tau_m)  # correction side
+        assert pair_stats(est, 0, 1, 51)[2] == 0.0  # no wins ever landed for arm 0
+        assert pair_stats(est, 1, 0, 51)[2] == pytest.approx(3 * tau_m)  # correction side
 
 
 class TestBiasCorrectedCount:
@@ -196,13 +198,13 @@ class TestBiasCorrectedCount:
         est, _ = make_est()
         est.record_play(0, 1, 1)
         est.ingest_conversion(1, 0, 1)
-        assert est.pair_stats(0, 1, 5)[2] == 1.0
+        assert pair_stats(est, 0, 1, 5)[2] == 1.0
 
     def test_unconverted_second_position_counts_tau(self):
         est, dist = make_est()
         est.record_play(1, 0, 1)  # play of (j, i) from the view of pair (0, 1)
         age = 3
-        assert est.pair_stats(0, 1, 1 + age)[2] == pytest.approx(dist.tau(age))
+        assert pair_stats(est, 0, 1, 1 + age)[2] == pytest.approx(dist.tau(age))
 
     def test_identity_holds_on_random_stream(self):
         est, dist = make_est(k=4, m=25, p=0.15)
@@ -218,7 +220,7 @@ class TestBiasCorrectedCount:
                     pending.setdefault(t + d, []).append((t, u, v))
             est.record_play(u, v, t)
             i, j = int(rng.integers(4)), int(rng.integers(4))
-            n, n_tilde, s_ij, s_ji = est.pair_stats(i, j, t)
+            n, n_tilde, s_ij, s_ji = pair_stats(est, i, j, t)
             assert s_ij + s_ji == pytest.approx(n_tilde, rel=1e-12, abs=1e-12)
 
 
@@ -237,7 +239,7 @@ class TestAgainstBruteForce:
             if t % 37 == 0:
                 for i in range(k):
                     for j in range(k):
-                        n, n_tilde, s_ij, s_ji = est.pair_stats(i, j, t)
+                        n, n_tilde, s_ij, s_ji = pair_stats(est, i, j, t)
                         bn, bnt, bs_ij, bs_ji = brute_force_stats(
                             plays, conversions, i, j, t, m, dist.tau
                         )
@@ -312,8 +314,7 @@ class TestProperties:
             n_mat, nt_mat, s_mat = est.matrices(tq)
             for i in range(k):
                 for j in range(k):
-                    stats = est.pair_stats(i, j, tq)
-                    assert stats == (n_mat[i, j], nt_mat[i, j], s_mat[i, j], s_mat[j, i])
+                    stats = (n_mat[i, j], nt_mat[i, j], s_mat[i, j], s_mat[j, i])
                     n, n_tilde, s_ij, s_ji = stats
                     brute = brute_force_stats(plays, delivered, i, j, tq, m, dist.tau)
                     assert n == brute[0]
@@ -359,21 +360,16 @@ class TestPreferenceEstimate:
                 wins += 1
                 est.ingest_conversion(t, 0, 1)
         # query one step after the final play so it has converted
-        assert est.mu_hat(0, 1, 301) == pytest.approx(wins / 300)
-        assert 0.0 <= est.mu_hat(0, 1, 301) <= 1.0
+        assert mu_hat(est, 0, 1, 301) == pytest.approx(wins / 300)
+        assert 0.0 <= mu_hat(est, 0, 1, 301) <= 1.0
 
     def test_single_early_conversion_gives_large_unclipped_value(self):
         est, dist = make_est(p=0.01)
         est.record_play(0, 1, 1)
         est.ingest_conversion(1, 0, 1)
-        value = est.mu_hat(0, 1, 3)
+        value = mu_hat(est, 0, 1, 3)
         assert value == pytest.approx(1 / 0.0199, rel=1e-9)
         assert value > 1.0  # unbiased, deliberately not range-clipped
-
-    def test_no_data_raises(self):
-        est, _ = make_est()
-        with pytest.raises(NoData):
-            est.mu_hat(0, 1, 5)
 
     def test_complements_sum_to_one(self):
         est, dist = make_est(k=3, m=20, p=0.3)
@@ -388,12 +384,22 @@ class TestPreferenceEstimate:
                 if d <= 20:
                     pending.setdefault(t + d, []).append((t, u, v))
             est.record_play(u, v, t)
-        assert est.mu_hat(0, 1, 500) + est.mu_hat(1, 0, 500) == pytest.approx(1.0)
+        assert mu_hat(est, 0, 1, 500) + mu_hat(est, 1, 0, 500) == pytest.approx(1.0)
 
-    def test_monte_carlo_unbiased_short(self):
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            geometric(0.1),
+            deterministic(5),
+            uniform_delay(2, 9),
+            # 0.2 of the mass lies beyond the window: tau(M) = 0.8
+            from_table([0.2, 0.0, 0.3] + [0.0] * 26 + [0.3, 0.0, 0.2]),
+        ],
+        ids=["geometric", "det", "uniform", "table"],
+    )
+    def test_monte_carlo_unbiased_short(self, dist):
         # scaled-down version of the unbiasedness acceptance check
-        reps, plays, mu_ij, p, m = 2000, 60, 0.7, 0.1, 30
-        dist = geometric(p)
+        reps, plays, mu_ij, m = 2000, 60, 0.7, 30
         table = dist.tau_table(m)
         rng = np.random.default_rng(77)
         estimates = np.empty(reps)
@@ -408,10 +414,10 @@ class TestPreferenceEstimate:
                     win_prob = mu_ij if (u, v) == (0, 1) else 1 - mu_ij
                     est.record_play(u, v, t)
                     if rng.random() < win_prob:
-                        d = int(rng.geometric(p))
+                        d = int(dist.sample(rng, 1)[0])
                         if d <= m:
                             pending.setdefault(t + d, []).append((t, u, v))
-            estimates[r] = est.mu_hat(0, 1, plays + 1)
+            estimates[r] = mu_hat(est, 0, 1, plays + 1)
         se = estimates.std(ddof=1) / math.sqrt(reps)
         assert abs(estimates.mean() - mu_ij) <= 3 * se
 
@@ -457,33 +463,9 @@ class TestConfidenceBounds:
             for j in range(3):
                 if i != j:
                     # 1 - U_ij is j's lower bound against i: mu_hat_ji minus the radius
-                    radius = ucb[j, i] - est.mu_hat(j, i, 300)
+                    radius = ucb[j, i] - mu_hat(est, j, i, 300)
                     lcb_ji = 1.0 - ucb[i, j]
-                    assert lcb_ji == pytest.approx(est.mu_hat(j, i, 300) - radius)
-
-    def test_matrix_path_agrees_with_pair_queries(self):
-        est, dist = make_est(k=4, m=20, p=0.2)
-        rng = np.random.default_rng(21)
-        pending = {}
-        for t in range(1, 500):
-            for (s, u, v) in pending.pop(t, []):
-                est.ingest_conversion(s, u, v)
-            u, v = int(rng.integers(4)), int(rng.integers(4))
-            if rng.random() < 0.5:
-                d = int(rng.geometric(0.2))
-                if d <= 20:
-                    pending.setdefault(t + d, []).append((t, u, v))
-            est.record_play(u, v, t)
-            if t % 97 == 0:
-                umat = est.ucb_matrix(t, 1.0)
-                n_mat, nt_mat, s_mat = est.matrices(t)
-                for i in range(4):
-                    for j in range(4):
-                        n, n_tilde, s_ij, _ = est.pair_stats(i, j, t)
-                        assert n_mat[i, j] == n
-                        assert nt_mat[i, j] == pytest.approx(n_tilde, abs=1e-12)
-                        assert s_mat[i, j] == pytest.approx(s_ij, abs=1e-12)
-                        assert umat[i, j] == pytest.approx(pair_ucb(est, i, j, t, 1.0), abs=1e-12)
+                    assert lcb_ji == pytest.approx(mu_hat(est, j, i, 300) - radius)
 
 
 def errstate_ucb_matrix(est, t, alpha, matrices=None):
@@ -533,12 +515,16 @@ class TestUcbMatrix:
                     pending.setdefault(t + d, []).append((t, u, v))
             est.record_play(u, v, t)
 
-    def test_matrices_returns_a_copy_of_n(self):
+    def test_matrices_n_is_a_read_only_live_view(self):
         est, _ = make_est(k=2, m=5)
         est.record_play(0, 1, 1)
         n, _, _ = est.matrices(2)
-        n[0, 1] = 99
+        assert not n.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            n[0, 1] = 99
         assert est.n[0, 1] == 1
+        est.record_play(1, 0, 2)
+        assert n[0, 1] == n[1, 0] == 2
 
 
 def gathered_matrices(est, times, t):

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from duelsim import (
     validate_matrix,
     write_results,
 )
+from duelsim.datasets import resolve
 from duelsim.environment import DRAW_CHUNK
 from duelsim.harness import repeated_sum
 
@@ -100,6 +102,46 @@ class TestRunOne:
         # run_many would fail on it with an AttributeError from the spec parser
         with pytest.raises(ValueError, match="delay must be a spec string .*det:<d>"):
             config(policy="mrr-delay", delay=geometric(0.1))
+
+    def test_integer_dataset_is_not_read_as_a_file_descriptor(self):
+        # open() takes an int as a descriptor: it would read the pipe, then close it
+        r, w = os.pipe()
+        os.close(w)
+        try:
+            with pytest.raises(ValueError, match=f"^dataset must be .*, got {r}$"):
+                config(policy="rrdb-delay", dataset=r)
+            with pytest.raises(ValueError, match=f"^unknown dataset {r}; built-ins are: "):
+                resolve(r)
+            os.fstat(r)  # still open
+        finally:
+            os.close(r)
+
+    def test_policy_must_be_a_string(self):
+        with pytest.raises(ValueError, match="^policy must be a policy name, got 1$"):
+            config(policy=1)
+
+    @pytest.mark.parametrize("aggregated", ["no", 0, 1, None])
+    def test_aggregated_must_be_a_bool(self, aggregated):
+        with pytest.raises(ValueError, match="^aggregated must be True or False, got "):
+            config(policy="mrr-delay", aggregated=aggregated)
+
+    @pytest.mark.parametrize(
+        "policy, field, value, message",
+        [
+            *(("rucb-delay", "alpha", x, f"alpha must be >= 1, got {x}") for x in ("2", True)),
+            *(
+                ("rucb-baseline", "alpha", x, rf"alpha must be finite and > 1/2, got {x}")
+                for x in ("2", True)
+            ),
+            *(
+                ("rrdb-delay", "delta", x, rf"delta must be in \(0, 1\], got {x}")
+                for x in ("0.1", True)
+            ),
+        ],
+    )
+    def test_non_real_alpha_or_delta_fails_with_one_line(self, policy, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_one(config(policy=policy, **{field: value}), 0)
 
     def test_aggregated_run_works_for_mrr_only(self):
         trace = run_one(config(policy="mrr-delay", aggregated=True), 1)

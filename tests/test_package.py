@@ -77,8 +77,13 @@ def test_bench_trace_targets_resolve():
         for module, owner, attr, _ in tracing.TARGETS
         if attr not in vars(getattr(getattr(duelsim, module), owner))
     }
-    # the policies without anonymous-count feedback have no observe_count
-    assert missing <= {("RucbDelay", "observe_count"), ("RrDbDelay", "observe_count")}
+    # the policies without anonymous-count feedback have no observe_count, and the
+    # estimator's one statistics query is matrices: pair_stats is gone
+    assert missing <= {
+        ("RucbDelay", "observe_count"),
+        ("RrDbDelay", "observe_count"),
+        ("DelayCorrectedEstimator", "pair_stats"),
+    }
 
 
 def subparsers(parser):
