@@ -42,6 +42,12 @@ def check_count(name: str, x, low: int) -> int:
     return int(x)
 
 
+def check_bool(name: str, x) -> None:
+    """Fail with one line unless x is a bool: a truthy "no" must not switch a mode on."""
+    if not isinstance(x, bool):
+        raise ValueError(f"{name} must be True or False, got {x!r}")
+
+
 def is_real(x) -> bool:
     """x is a real number (int, float or numpy scalar), never bool."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)

@@ -7,9 +7,9 @@ Subcommands:
 
 Flags are named (dest=) after the ExperimentConfig field or calculator
 parameter they set and are left out when absent, so every default is
-ExperimentConfig's or the calculator's own. `run` lists its flags by hand;
-each `bounds` subcommand generates its flags and help from its calculator's
-signature and docstring.
+ExperimentConfig's or the calculator's own. `run` lists its flags by hand,
+one per ExperimentConfig field plus --out; each `bounds` subcommand
+generates its flags and help from its calculator's signature and docstring.
 """
 
 from __future__ import annotations
@@ -62,11 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="duelsim_results")
     run.add_argument("--workers", type=int)
     run.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help="override horizon/runs to 200000 x 100",
-    )
-    run.add_argument(
         "--aggregated",
         action="store_true",
         help="anonymous per-step conversion counts (mrr-delay only)",
@@ -100,10 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: dict) -> int:
-    out, paper_scale = args.pop("out"), args.pop("paper_scale", False)
+    out = args.pop("out")
     config = ExperimentConfig(**args)
-    if paper_scale:
-        config = config.at_paper_scale()
     result = run_many(config)
     write_results(result, out)
     final = float(result.mean[-1])
@@ -131,7 +124,7 @@ def main(argv=None) -> int:
     command = {"run": _cmd_run, "bounds": _cmd_bounds, "datasets": _cmd_datasets}
     try:
         return command[args.pop("command")](args)
-    except (DuelSimError, ValueError, KeyError, OSError) as exc:
+    except (DuelSimError, ValueError, OSError) as exc:
         print(f"duelsim: error: {exc}", file=sys.stderr)
         return 2
 

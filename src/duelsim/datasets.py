@@ -103,7 +103,7 @@ def save_matrix_csv(matrix: PreferenceMatrix, path) -> None:
 def builtin(name: str) -> PreferenceMatrix:
     """Load one of the named built-in matrices."""
     if name not in BUILTIN_SPECS:
-        raise KeyError(_unknown(name))
+        raise ValueError(_unknown(name))
     k, filename = BUILTIN_SPECS[name]
     ref = resources.files("duelsim.data").joinpath(filename)
     with resources.as_file(ref) as path:

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import check_bool
 from .delays import DelayDistribution
 from .errors import (
     ComplementViolation,
@@ -132,6 +133,7 @@ class DuelingEnvironment:
         self.delay = delay
         self.rng = rng
         self.horizon = horizon
+        check_bool("aggregated", aggregated)
         self.aggregated = aggregated
         self.k = matrix.k
         # nested lists: one Python float read per step, no numpy scalar

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -18,9 +18,6 @@ from . import bounds, datasets
 from .delays import DelayDistribution, parse_delay_spec
 from .environment import DRAW_CHUNK, DuelingEnvironment, PreferenceMatrix
 from .policies import make_policy
-
-PAPER_HORIZON = 200_000
-PAPER_RUNS = 100
 
 
 @dataclass(frozen=True)
@@ -51,14 +48,13 @@ class ExperimentConfig:
         if not isinstance(self.delay, str):
             forms = "geometric:<p> | det:<d> | uniform:<lo>,<hi> | table:<file>"
             raise ValueError(f"delay must be a spec string {forms}, got {self.delay!r}")
-        if not isinstance(self.aggregated, bool):
-            raise ValueError(f"aggregated must be True or False, got {self.aggregated!r}")
+        bounds.check_bool("aggregated", self.aggregated)
+        bounds.check_domain("alpha", self.alpha)
+        if self.delta is not None:
+            bounds.check_domain("delta", self.delta)
 
     def delay_distribution(self) -> DelayDistribution:
         return parse_delay_spec(self.delay)
-
-    def at_paper_scale(self) -> "ExperimentConfig":
-        return replace(self, horizon=PAPER_HORIZON, runs=PAPER_RUNS)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import check_domain, is_real, n_schedule, n_schedule_aggregated
+from .bounds import check_bool, check_domain, is_real, n_schedule, n_schedule_aggregated
 from .estimator import DelayCorrectedEstimator, corrected_bounds
 
 
@@ -382,6 +382,7 @@ def make_policy(
     if name not in policy_names():
         known = ", ".join(policy_names())
         raise ValueError(f"unknown policy {name!r}; known: {known}")
+    check_bool("aggregated", aggregated)
     if aggregated and name != MrrDbDelay.name:
         raise ValueError(f"policy {name!r} cannot consume aggregated anonymous feedback")
     if rng is None and name in (RucbDelay.name, RucbBaseline.name):

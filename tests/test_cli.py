@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,15 @@ class TestRunParser:
         for name in policies.policy_names():
             args = parser.parse_args(["run", "--dataset", "arithmetic", "--policy", name])
             assert args.policy == name
+
+    def test_one_flag_per_config_field(self):
+        """run has exactly one flag per ExperimentConfig field, plus --out."""
+        parser = build_parser()
+        (command,) = (a for a in parser._actions if a.dest == "command")
+        flags = [a for a in command.choices["run"]._actions if a.dest != "help"]
+        assert all(len(a.option_strings) == 1 for a in flags)
+        dests = sorted(a.dest for a in flags)
+        assert dests == sorted([*(f.name for f in dataclasses.fields(ExperimentConfig)), "out"])
 
 
 class TestRunConfig:
@@ -83,14 +93,15 @@ class TestRunConfig:
         assert code == 0, err
         assert captured == [ExperimentConfig("sushi", "mrr-delay", **{field: typed})]
 
-    def test_paper_scale_overrides_horizon_and_runs(self, captured, tmp_path, capsys):
-        code, out, _ = run_cli(
-            capsys, "run", "--dataset", "sushi", "--policy", "mrr-delay", "--T", "9",
-            "--paper-scale", "--out", str(tmp_path),
-        )
-        assert code == 0
-        assert captured == [ExperimentConfig("sushi", "mrr-delay").at_paper_scale()]
-        assert "100 runs, T=200000" in out
+    def test_paper_scale_preset_is_gone(self, captured, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([
+                "run", "--dataset", "sushi", "--policy", "mrr-delay", "--paper-scale",
+                "--out", str(tmp_path),
+            ])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --paper-scale" in capsys.readouterr().err
+        assert captured == []
 
 
 class TestBoundsCommand:
@@ -212,7 +223,11 @@ class TestOneLineErrors:
                 ["--policy", "mrr-delay", "--delay", "geometric:1e-320"],
                 "geometric parameter 1e-320 too small: its mean 1/p overflows",
             ),
-            (["--policy", "rucb-delay", "--alpha", "inf"], "alpha must be >= 1, got inf"),
+            (
+                ["--policy", "rucb-delay", "--alpha", "inf"],
+                "alpha must be finite and > 1/2, got inf",
+            ),
+            (["--policy", "rucb-delay", "--alpha", "0.75"], "alpha must be >= 1, got 0.75"),
             (
                 ["--policy", "rucb-baseline", "--alpha", "inf"],
                 "alpha must be finite and > 1/2, got inf",

@@ -138,8 +138,12 @@ class TestBuiltinRegistry:
         assert np.all(m.mu[m.winner][off[m.winner]] > 0.5)
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError) as info:
             builtin("mnist")
+        assert str(info.value) == (
+            "unknown dataset 'mnist'; "
+            "built-ins are: arithmetic, car, mslr, six-rankers, sushi, tennis"
+        )
 
     def test_resolve_unknown_name_lists_the_builtins(self):
         with pytest.raises(ValueError) as info:

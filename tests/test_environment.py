@@ -533,6 +533,12 @@ class TestAggregatedMode:
         with pytest.raises(ModeMismatch):
             agg.observe_new(1)
 
+    @pytest.mark.parametrize("aggregated", ["no", 0, 1, None])
+    def test_aggregated_must_be_a_bool(self, aggregated):
+        message = f"^aggregated must be True or False, got {aggregated!r}$"
+        with pytest.raises(ValueError, match=message):
+            self._env(aggregated=aggregated)
+
     def test_per_step_policy_is_refused(self):
         # run_one plays a policy without select_run by step, which aggregated mode refuses
 

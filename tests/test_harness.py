@@ -128,13 +128,15 @@ class TestRunOne:
     @pytest.mark.parametrize(
         "policy, field, value, message",
         [
-            *(("rucb-delay", "alpha", x, f"alpha must be >= 1, got {x}") for x in ("2", True)),
+            # mrr-delay reads neither alpha nor delta: only the config refuses them
             *(
-                ("rucb-baseline", "alpha", x, rf"alpha must be finite and > 1/2, got {x}")
+                (policy, "alpha", x, rf"alpha must be finite and > 1/2, got {x}")
+                for policy in ("rucb-delay", "rucb-baseline", "mrr-delay")
                 for x in ("2", True)
             ),
             *(
-                ("rrdb-delay", "delta", x, rf"delta must be in \(0, 1\], got {x}")
+                (policy, "delta", x, rf"delta must be in \(0, 1\], got {x}")
+                for policy in ("rrdb-delay", "mrr-delay")
                 for x in ("0.1", True)
             ),
         ],
@@ -148,10 +150,6 @@ class TestRunOne:
         assert np.all(np.diff(trace.regret) >= 0)
         with pytest.raises(ValueError):
             run_one(config(policy="rucb-delay", aggregated=True), 1)
-
-    def test_paper_scale_override(self):
-        c = config().at_paper_scale()
-        assert c.horizon == 200_000 and c.runs == 100
 
 
 def steep_rows(k):

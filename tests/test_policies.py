@@ -826,6 +826,15 @@ class TestRegistry:
         pol = fresh_policy("mrr-delay", aggregated=True)
         assert pol.aggregated
 
+    @pytest.mark.parametrize("name", ["mrr-delay", "rucb-delay"])
+    @pytest.mark.parametrize("aggregated", ["no", 0, 1, None])
+    def test_aggregated_must_be_a_bool(self, name, aggregated):
+        # checked before the mode test: "no" must neither pick the aggregated
+        # schedule nor be read as a request for aggregated feedback
+        message = f"^aggregated must be True or False, got {aggregated!r}$"
+        with pytest.raises(ValueError, match=message):
+            fresh_policy(name, aggregated=aggregated)
+
     @pytest.mark.parametrize("name", ["rucb-delay", "rucb-baseline"])
     def test_ucb_policy_without_rng_rejected(self, name):
         # rng=None would build, then fail at the first tied draw
