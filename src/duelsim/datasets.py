@@ -15,14 +15,15 @@ from .bounds import check_count
 from .environment import PreferenceMatrix, validate_matrix
 from .errors import MatrixParseError
 
-# name -> (arm count, data file); every built-in, arithmetic included, loads a CSV
-BUILTIN_SPECS: dict[str, tuple[int, str]] = {
-    "six-rankers": (6, "six_rankers.csv"),
-    "mslr": (5, "mslr.csv"),
-    "tennis": (8, "tennis.csv"),
-    "arithmetic": (10, "arithmetic10.csv"),
-    "car": (10, "car.csv"),
-    "sushi": (16, "sushi.csv"),
+# name -> data file; every built-in, arithmetic included, loads a CSV, and
+# the arm count is the loaded matrix's
+BUILTIN_SPECS: dict[str, str] = {
+    "six-rankers": "six_rankers.csv",
+    "mslr": "mslr.csv",
+    "tennis": "tennis.csv",
+    "arithmetic": "arithmetic10.csv",
+    "car": "car.csv",
+    "sushi": "sushi.csv",
 }
 
 
@@ -104,13 +105,9 @@ def builtin(name: str) -> PreferenceMatrix:
     """Load one of the named built-in matrices."""
     if name not in BUILTIN_SPECS:
         raise ValueError(_unknown(name))
-    k, filename = BUILTIN_SPECS[name]
-    ref = resources.files("duelsim.data").joinpath(filename)
+    ref = resources.files("duelsim.data").joinpath(BUILTIN_SPECS[name])
     with resources.as_file(ref) as path:
-        matrix = load_matrix_csv(path)
-    if matrix.k != k:
-        raise MatrixParseError(f"{filename}: expected {k} arms, found {matrix.k}")
-    return matrix
+        return load_matrix_csv(path)
 
 
 def _unknown(name: str, reason: str = "") -> str:
@@ -130,4 +127,4 @@ def resolve(spec: str | os.PathLike) -> PreferenceMatrix:
 
 
 def list_builtin() -> list[tuple[str, int]]:
-    return [(name, k) for name, (k, _) in sorted(BUILTIN_SPECS.items())]
+    return [(name, builtin(name).k) for name in sorted(BUILTIN_SPECS)]

@@ -48,20 +48,22 @@ from .errors import OutOfOrder, UnknownPlay
 
 
 class DelayCorrectedEstimator:
-    """Maintains N, Ntilde and S for all arm pairs under a censoring window."""
+    """Maintains N, Ntilde and S for all arm pairs under a censoring window M.
 
-    def __init__(self, k: int, m_window: int, tau_table: np.ndarray):
+    tau_table holds tau(0..M), so its length fixes M.
+    """
+
+    def __init__(self, k: int, tau_table: np.ndarray):
         check_count("K", k, 1)
-        check_count("window M", m_window, 1)
         tau_table = np.asarray(tau_table, dtype=np.float64)
-        if tau_table.shape != (m_window + 1,):
-            raise ValueError(f"tau table shape must be ({m_window + 1},), got {tau_table.shape}")
+        if tau_table.ndim != 1 or tau_table.size < 2:
+            raise ValueError(f"tau table must be 1-D, length >= 2, got shape {tau_table.shape}")
         if tau_table[0] != 0.0 or np.any(np.diff(tau_table) < 0) or tau_table[-1] > 1.0:
             raise ValueError("tau table must be a CDF: tau(0) = 0, non-decreasing, at most 1")
+        m_window = tau_table.size - 1
         self.k = k
         self.m_window = m_window
-        self.tau = tau_table
-        self.tau_m = float(tau_table[m_window])
+        self.tau_m = float(tau_table[-1])
 
         self.n = np.zeros((k, k), dtype=np.int64)
         self._n_read = self.n.view()  # the N that matrices() hands out

@@ -94,24 +94,19 @@ def _unbeaten(score: list[list[float]], arms, margin: float) -> list[int]:
 
 
 class RucbDelay:
-    """Optimistic champion/challenger selection on delay-corrected statistics."""
+    """Optimistic champion/challenger selection on delay-corrected statistics.
+
+    tau_table holds tau(0..M); its length sets the estimator's window M.
+    """
 
     name = "rucb-delay"
 
-    def __init__(
-        self,
-        k: int,
-        *,
-        alpha: float,
-        window: int,
-        tau_table: np.ndarray,
-        rng: np.random.Generator,
-    ):
+    def __init__(self, k: int, *, alpha: float, tau_table: np.ndarray, rng: np.random.Generator):
         if not (is_real(alpha) and 1.0 <= alpha < math.inf):
             raise ValueError(f"alpha must be >= 1, got {alpha}")
         self.k = k
         self.alpha = alpha
-        self.est = DelayCorrectedEstimator(k, window, tau_table)
+        self.est = DelayCorrectedEstimator(k, tau_table)
         self.rng = rng
         self.best: int | None = None
 
@@ -186,15 +181,16 @@ class RrDbDelay:
     both orderings back to back.  After a sweep, any arm whose corrected_bounds
     entry (log term log(K t / delta)) against some active opponent falls
     below 1/2 is dropped; the survivor, once unique, is played against itself.
+    tau_table holds tau(0..M); its length sets the estimator's window M.
     """
 
     name = "rrdb-delay"
 
-    def __init__(self, k: int, *, window: int, tau_table: np.ndarray, delta: float):
+    def __init__(self, k: int, *, tau_table: np.ndarray, delta: float):
         check_domain("delta", delta)  # the calculators' rule
         self.k = k
         self.delta = delta
-        self.est = DelayCorrectedEstimator(k, window, tau_table)
+        self.est = DelayCorrectedEstimator(k, tau_table)
         self.active: list[int] = list(range(k))
         self._sweep = self._build_sweep()
         self._pos = 0
@@ -264,6 +260,7 @@ class MrrDbDelay:
     def __init__(
         self, k: int, *, horizon: int, mean_delay: float, aggregated: bool = False
     ):
+        check_bool("aggregated", aggregated)
         self.k = k
         self.horizon = horizon
         self.mean_delay = mean_delay
@@ -390,9 +387,7 @@ def make_policy(
     # no play is older than T at t <= T + 1: a longer window changes no weight
     window = min(window, horizon)
     if name == RucbDelay.name:
-        return RucbDelay(
-            k, alpha=alpha, window=window, tau_table=delay.tau_table(window), rng=rng
-        )
+        return RucbDelay(k, alpha=alpha, tau_table=delay.tau_table(window), rng=rng)
     if name == RucbBaseline.name:
         return RucbBaseline(k, alpha=alpha, rng=rng)
     if name == RrDbDelay.name:
@@ -402,7 +397,5 @@ def make_policy(
             raise ValueError(
                 f"delta {delta} too small: K*T/delta overflows for K={k}, T={horizon}"
             )
-        return RrDbDelay(
-            k, window=window, tau_table=delay.tau_table(window), delta=delta
-        )
+        return RrDbDelay(k, tau_table=delay.tau_table(window), delta=delta)
     return MrrDbDelay(k, horizon=horizon, mean_delay=delay.mean, aggregated=aggregated)

@@ -70,7 +70,7 @@ def _quarter_increments(mean: np.ndarray) -> tuple[float, float]:
 def test_criterion_1_estimator_identity():
     k, m, p, steps = 5, 50, 0.1, 1_000_000
     dist = geometric(p)
-    est = DelayCorrectedEstimator(k, m, dist.tau_table(m))
+    est = DelayCorrectedEstimator(k, dist.tau_table(m))
     rng = np.random.default_rng(2024)
     us = rng.integers(k, size=steps)
     vs = rng.integers(k, size=steps)
@@ -113,7 +113,7 @@ def test_criterion_2_estimator_unbiased():
     start = time.perf_counter()
     estimates = np.empty(reps)
     for r in range(reps):
-        est = DelayCorrectedEstimator(2, m, table)
+        est = DelayCorrectedEstimator(2, table)
         xs = rng.random(plays)
         ds = rng.geometric(p, size=plays)
         pending: dict[int, list] = {}
@@ -149,7 +149,6 @@ def test_criterion_3_no_delay_reduction():
     policy = RucbDelay(
         5,
         alpha=1.0,
-        window=100,
         tau_table=unit.tau_table(100),
         rng=np.random.default_rng(pol_seq),
     )

@@ -499,12 +499,20 @@ def _config(policy, **counts):
         (partial(uniform_delay, True, 3), "uniform lower bound must be an integer >= 1, got True"),
         (partial(geometric(0.5).tau_table, True), "table length must be an integer >= 1, got True"),
         (
-            partial(DelayCorrectedEstimator, 2.5, 10, geometric(0.5).tau_table(10)),
+            partial(DelayCorrectedEstimator, 2.5, geometric(0.5).tau_table(10)),
             "K must be an integer >= 1, got 2.5",
         ),
         (
-            partial(DelayCorrectedEstimator, 3, True, geometric(0.5).tau_table(1)),
-            "window M must be an integer >= 1, got True",
+            partial(DelayCorrectedEstimator, 3, [0.0]),
+            "tau table must be 1-D, length >= 2, got shape (1,)",
+        ),
+        (
+            partial(DelayCorrectedEstimator, 3, np.zeros((2, 3))),
+            "tau table must be 1-D, length >= 2, got shape (2, 3)",
+        ),
+        (
+            partial(DelayCorrectedEstimator, 3, [0.5, 1.0]),
+            "tau table must be a CDF: tau(0) = 0, non-decreasing, at most 1",
         ),
         (partial(arithmetic_matrix, 2.5), "arm count must be an integer >= 2, got 2.5"),
         (partial(hard_instance_pair, 3.5, 0.1), "K must be an integer >= 3, got 3.5"),
@@ -513,8 +521,9 @@ def _config(policy, **counts):
     ids=[
         "horizon-float", "horizon-bool", "stride-float", "runs-float", "workers-float",
         "seed-float", "seed-negative", "window-float", "window-bool", "det-bool",
-        "uniform-bool", "tau-table-bool", "estimator-k-float", "estimator-window-bool",
-        "arithmetic-k-float", "hard-k-float", "hard-k-star-float",
+        "uniform-bool", "tau-table-bool", "estimator-k-float", "estimator-tau-short",
+        "estimator-tau-2d", "estimator-tau-not-cdf", "arithmetic-k-float", "hard-k-float",
+        "hard-k-star-float",
     ],
 )
 def test_every_count_argument_fails_with_one_line(make, message):
@@ -527,4 +536,4 @@ def test_numpy_integer_counts_accepted_outside_the_calculators():
     assert (config.horizon, config.runs) == (100, 2)
     assert deterministic(np.int64(3)).params == (3,)
     assert geometric(0.5).tau_table(np.int64(4)).shape == (5,)
-    assert DelayCorrectedEstimator(np.int64(3), np.int64(4), geometric(0.5).tau_table(4)).k == 3
+    assert DelayCorrectedEstimator(np.int64(3), geometric(0.5).tau_table(np.int64(4))).k == 3

@@ -17,7 +17,7 @@ from duelsim.errors import OutOfOrder, UnknownPlay
 
 def make_est(k=3, m=50, p=0.1):
     dist = geometric(p)
-    return DelayCorrectedEstimator(k, m, dist.tau_table(m)), dist
+    return DelayCorrectedEstimator(k, dist.tau_table(m)), dist
 
 
 def window_size(est):
@@ -150,7 +150,7 @@ class TestDiscountedCount:
 
     def test_no_delay_reduces_to_plain_count(self):
         dist = deterministic(1)
-        est = DelayCorrectedEstimator(3, 20, dist.tau_table(20))
+        est = DelayCorrectedEstimator(3, dist.tau_table(20))
         rng = np.random.default_rng(0)
         for t in range(1, 100):
             u, v = rng.integers(3), rng.integers(3)
@@ -228,7 +228,7 @@ class TestAgainstBruteForce:
     def test_random_stream_matches_definitions(self):
         k, m, p = 4, 12, 0.2
         dist = geometric(p)
-        est = DelayCorrectedEstimator(k, m, dist.tau_table(m))
+        est = DelayCorrectedEstimator(k, dist.tau_table(m))
         rng = np.random.default_rng(9)
         plays, conversions = [], {}
         pending: dict[int, list] = {}
@@ -301,7 +301,7 @@ class TestProperties:
         unless that is last_t + 1 again), and finally records the play.
         """
         k, m, dist, steps = stream
-        est = DelayCorrectedEstimator(k, m, dist.tau_table(m))
+        est = DelayCorrectedEstimator(k, dist.tau_table(m))
         plays, delivered, pending = [], {}, {}
 
         def deliver_upto(t):
@@ -350,7 +350,7 @@ class TestProperties:
 class TestPreferenceEstimate:
     def test_no_delay_equals_empirical_frequency(self):
         dist = deterministic(1)
-        est = DelayCorrectedEstimator(2, 10, dist.tau_table(10))
+        est = DelayCorrectedEstimator(2, dist.tau_table(10))
         rng = np.random.default_rng(3)
         wins = 0
         for t in range(1, 301):
@@ -404,7 +404,7 @@ class TestPreferenceEstimate:
         rng = np.random.default_rng(77)
         estimates = np.empty(reps)
         for r in range(reps):
-            est = DelayCorrectedEstimator(2, m, table)
+            est = DelayCorrectedEstimator(2, table)
             pending = {}
             for t in range(1, plays + 2):
                 for (s, u, v) in pending.pop(t, []):
@@ -489,7 +489,7 @@ class TestUcbMatrix:
 
     @pytest.mark.parametrize("dist", LAWS)
     def test_fresh_estimator(self, dist):
-        est = DelayCorrectedEstimator(4, 10, dist.tau_table(10))
+        est = DelayCorrectedEstimator(4, dist.tau_table(10))
         for t in (1, 2, 50):
             self.assert_same_bounds(est, t, 1.0)
 
@@ -497,7 +497,7 @@ class TestUcbMatrix:
     @pytest.mark.parametrize("seed", range(3))
     def test_after_random_plays(self, dist, seed):
         k, m = 4, 10
-        est = DelayCorrectedEstimator(k, m, dist.tau_table(m))
+        est = DelayCorrectedEstimator(k, dist.tau_table(m))
         rng = np.random.default_rng(seed)
         pending: dict[int, list] = {}
         for t in range(1, 120):
@@ -527,16 +527,17 @@ class TestUcbMatrix:
         assert n[0, 1] == n[1, 0] == 2
 
 
-def gathered_matrices(est, times, t):
+def gathered_matrices(est, tau, times, t):
     """matrices(t) with weights gathered from stored play times, as first written.
 
-    times[s % M] = s for every recorded play s.  The weights are
-    tau(clip(t - s, 0, M)) in the chronological order of the window.
+    tau is the table est was built from and times[s % M] = s for every
+    recorded play s.  The weights are tau(clip(t - s, 0, M)) in the
+    chronological order of the window.
     """
     k, m = est.k, est.m_window
     h = (est.last_t + 1) % m
     chronological = np.concatenate((times[h:], times[:h]))
-    w = est.tau[np.clip(t - chronological, 0, m)]
+    w = tau[np.clip(t - chronological, 0, m)]
     window = np.bincount(est._keys[h : h + m], weights=w, minlength=k * k + 1)
     a = est.tau_m * est._folded_plays + window[: k * k].reshape(k, k)
     y = est._wins
@@ -553,7 +554,8 @@ class TestWeightView:
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_stored_time_gather(self, dist, m, seed):
         k = 3
-        est = DelayCorrectedEstimator(k, m, dist.tau_table(m))
+        tau = dist.tau_table(m)
+        est = DelayCorrectedEstimator(k, tau)
         times = np.zeros(m, dtype=np.int64)
         rng = np.random.default_rng(seed)
         pending: dict[int, list] = {}
@@ -565,7 +567,7 @@ class TestWeightView:
                 for (sp, u, v) in pending.pop(s, []):
                     est.ingest_conversion(sp, u, v)
             for tq in range(est.last_t - m - 2, est.last_t + m + 3):
-                want = gathered_matrices(est, times, tq)
+                want = gathered_matrices(est, tau, times, tq)
                 for got, ref in zip(est.matrices(tq), want):
                     assert np.array_equal(got, ref)
                 if tq >= 1:

@@ -65,6 +65,17 @@ def test_integer_type_test_only_in_bounds():
     assert users == ["bounds.py"]
 
 
+def test_each_size_is_stated_once():
+    """The tau table's length fixes the estimator's window M, and a built-in's
+    CSV fixes its arm count: no constructor takes M beside the table, and the
+    registry holds no count beside the file."""
+    for cls in (duelsim.DelayCorrectedEstimator, duelsim.RucbDelay, duelsim.RrDbDelay):
+        params = inspect.signature(cls).parameters
+        assert "tau_table" in params and not {"window", "m_window"} & params.keys(), cls
+    specs = duelsim.datasets.BUILTIN_SPECS
+    assert all(isinstance(f, str) and f.endswith(".csv") for f in specs.values()), specs
+
+
 def test_bench_trace_targets_resolve():
     """Every method the bench tracer wraps still exists; install() skips a missing
     one silently, and its per-layer metric would then read 0."""

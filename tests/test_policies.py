@@ -157,7 +157,6 @@ class TestRucbDelaySelection:
         pol = RucbDelay(
             3,
             alpha=1.0,
-            window=50,
             tau_table=deterministic(1).tau_table(50),
             rng=np.random.default_rng(pol_seq),
         )
@@ -297,7 +296,7 @@ class TestRrDbDelay:
         return corrected_bounds(*pol.est.matrices(t), 1.0, log_term)[i, j]
 
     def test_sweep_visits_both_orderings_pairwise(self):
-        pol = RrDbDelay(3, window=20, tau_table=geometric(0.5).tau_table(20), delta=0.01)
+        pol = RrDbDelay(3, tau_table=geometric(0.5).tau_table(20), delta=0.01)
         actions = [pol.select(t) for t in range(1, 7)]
         assert [tuple(a) for a in actions] == [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
 
@@ -305,7 +304,7 @@ class TestRrDbDelay:
         # one play per ordering and no conversions: every bound is far above
         # 1/2, so the check after the first sweep drops nobody and the next
         # sweep reuses the same pair list
-        pol = RrDbDelay(3, window=20, tau_table=geometric(0.5).tau_table(20), delta=0.01)
+        pol = RrDbDelay(3, tau_table=geometric(0.5).tau_table(20), delta=0.01)
         sweep = pol._sweep
         first = [tuple(pol.select(t)) for t in range(1, 7)]
         second = [tuple(pol.select(t)) for t in range(7, 13)]
@@ -316,10 +315,10 @@ class TestRrDbDelay:
     def test_delta_takes_the_calculators_domain(self):
         # delta = 1 (the default 1/T at T = 1) is inside bounds.DOMAINS' (0, 1]
         tau = deterministic(1).tau_table(5)
-        assert RrDbDelay(3, window=5, tau_table=tau, delta=1.0).delta == 1.0
+        assert RrDbDelay(3, tau_table=tau, delta=1.0).delta == 1.0
         for delta in (0.0, -1.0, 1.5, math.nan):
             with pytest.raises(ValueError, match=rf"^delta must be in \(0, 1\], got {delta}$"):
-                RrDbDelay(3, window=5, tau_table=tau, delta=delta)
+                RrDbDelay(3, tau_table=tau, delta=delta)
 
     def test_delta_overflowing_log_term_rejected_when_built_directly(self):
         # make_policy knows T and rejects such a delta up front; a directly
@@ -331,14 +330,14 @@ class TestRrDbDelay:
 
         def factory(delta):
             tau = deterministic(1).tau_table(40)
-            return lambda matrix, rng: RrDbDelay(matrix.k, window=40, tau_table=tau, delta=delta)
+            return lambda matrix, rng: RrDbDelay(matrix.k, tau_table=tau, delta=delta)
 
         assert run_one(config, 0, matrix=matrix, policy_factory=factory(0.01)).active == (0,)
         with pytest.raises(ValueError, match=r"delta 1e-320 too small: K\*t/delta overflows"):
             run_one(config, 0, matrix=matrix, policy_factory=factory(1e-320))
 
     def test_bound_formula_value(self):
-        pol = RrDbDelay(10, window=5, tau_table=deterministic(1).tau_table(5), delta=0.001)
+        pol = RrDbDelay(10, tau_table=deterministic(1).tau_table(5), delta=0.001)
         est = pol.est
         est.n[0, 1] = est.n[1, 0] = 100
         est._folded_plays[0, 1] = 50.0
@@ -352,7 +351,7 @@ class TestRrDbDelay:
     def test_bound_monotone_decreasing_in_delta(self):
         values = []
         for delta in (1e-4, 1e-2, 0.5):
-            pol = RrDbDelay(4, window=5, tau_table=deterministic(1).tau_table(5), delta=delta)
+            pol = RrDbDelay(4, tau_table=deterministic(1).tau_table(5), delta=delta)
             est = pol.est
             est.n[0, 1] = est.n[1, 0] = 20
             est._folded_plays[0, 1] = 20.0
@@ -361,7 +360,7 @@ class TestRrDbDelay:
         assert values[0] > values[1] > values[2]
 
     def test_unit_delay_reduces_to_plain_rr_bound(self):
-        pol = RrDbDelay(4, window=5, tau_table=deterministic(1).tau_table(5), delta=0.01)
+        pol = RrDbDelay(4, tau_table=deterministic(1).tau_table(5), delta=0.01)
         est = pol.est
         est.n[0, 1] = est.n[1, 0] = 80
         est._folded_plays[0, 1] = 50.0
@@ -374,7 +373,7 @@ class TestRrDbDelay:
         assert self.bound(pol, 0, 1, 900) == pytest.approx(expected, rel=1e-12)
 
     def test_no_data_bound_is_one(self):
-        pol = RrDbDelay(3, window=5, tau_table=geometric(0.5).tau_table(5), delta=0.1)
+        pol = RrDbDelay(3, tau_table=geometric(0.5).tau_table(5), delta=0.1)
         assert self.bound(pol, 0, 1, 10) == 1.0
 
     def test_elimination_and_exploitation(self):
@@ -384,7 +383,7 @@ class TestRrDbDelay:
         mu[0, 2], mu[2, 0] = 0.95, 0.05
         mu[1, 2], mu[2, 1] = 0.6, 0.4
         matrix = validate_matrix(mu)
-        pol = RrDbDelay(3, window=10, tau_table=deterministic(1).tau_table(10), delta=0.05)
+        pol = RrDbDelay(3, tau_table=deterministic(1).tau_table(10), delta=0.05)
         env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(17), horizon=2999)
         eliminated_ever: set[int] = set()
         for t in range(1, 3000):
@@ -399,7 +398,7 @@ class TestRrDbDelay:
         assert tuple(pol.select(3000)) == (0, 0)
 
     def test_single_arm_plays_itself_forever(self):
-        pol = RrDbDelay(3, window=5, tau_table=geometric(0.5).tau_table(5), delta=0.1)
+        pol = RrDbDelay(3, tau_table=geometric(0.5).tau_table(5), delta=0.1)
         pol.active = [2]
         assert [tuple(pol.select(t)) for t in (1, 2, 3)] == [(2, 2)] * 3
 
@@ -591,7 +590,7 @@ def rrdb_states(draw):
     m = draw(st.integers(1, 15))
     # below about 1e-300, K t / delta overflows and _eliminate raises
     delta = draw(st.floats(1e-300, 1.0, exclude_max=True))
-    pol = RrDbDelay(k, window=m, tau_table=draw(DELAY_LAWS).tau_table(m), delta=delta)
+    pol = RrDbDelay(k, tau_table=draw(DELAY_LAWS).tau_table(m), delta=delta)
     arm = st.integers(0, k - 1)
     pool = draw(st.lists(st.tuples(arm, arm, st.booleans()), min_size=1, max_size=3))
     step = st.tuples(
@@ -721,7 +720,7 @@ class TestSharedRules:
     )
     def test_rucb_declared_winner_matches_argmax_rule(self, k, plays):
         tau = geometric(0.3).tau_table(8)
-        pol = RucbDelay(k, alpha=1.0, window=8, tau_table=tau, rng=np.random.default_rng(0))
+        pol = RucbDelay(k, alpha=1.0, tau_table=tau, rng=np.random.default_rng(0))
         for t, (u, v, converted) in enumerate(plays, start=1):
             pol.est.record_play(u % k, v % k, t)
             if converted:
@@ -788,7 +787,7 @@ class TestWinnerRules:
         ucb, best, _ = case
         k = ucb.shape[0]
         tau = geometric(0.3).tau_table(8)
-        pol = RucbDelay(k, alpha=1.0, window=8, tau_table=tau, rng=np.random.default_rng(0))
+        pol = RucbDelay(k, alpha=1.0, tau_table=tau, rng=np.random.default_rng(0))
         pol.best, pol.est.ucb_matrix = best, lambda t, alpha: ucb
         assert pol.declared_winner() == reference_rules.rucb_declared_winner(pol)
 
@@ -835,6 +834,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match=message):
             fresh_policy(name, aggregated=aggregated)
 
+    @pytest.mark.parametrize("aggregated", ["no", 0, 1, None])
+    def test_mrr_built_directly_takes_only_a_bool_aggregated(self, aggregated):
+        # the same rule without make_policy: a truthy "no" must not pick
+        # n_schedule_aggregated
+        message = f"^aggregated must be True or False, got {aggregated!r}$"
+        with pytest.raises(ValueError, match=message):
+            MrrDbDelay(10, horizon=1000, mean_delay=10.0, aggregated=aggregated)
+
     @pytest.mark.parametrize("name", ["rucb-delay", "rucb-baseline"])
     def test_ucb_policy_without_rng_rejected(self, name):
         # rng=None would build, then fail at the first tied draw
@@ -856,7 +863,6 @@ class TestRegistry:
         # no play is older than T at t <= T + 1, so the window is cut to T
         pol = fresh_policy(name, horizon=300, window=10**6)
         assert pol.est.m_window == 300
-        assert pol.est.tau.shape == (301,)
 
     @pytest.mark.parametrize("name, dataset", [("rucb-delay", "arithmetic"), ("rrdb-delay", "mslr")])
     def test_window_above_horizon_gives_the_same_trace(self, name, dataset):
