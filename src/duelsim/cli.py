@@ -19,7 +19,6 @@ import inspect
 import sys
 
 from . import bounds, datasets, policies
-from .errors import DuelSimError
 from .harness import ExperimentConfig, run_many, write_results
 
 # bounds flags not named --<parameter with dashes>
@@ -124,7 +123,7 @@ def main(argv=None) -> int:
     command = {"run": _cmd_run, "bounds": _cmd_bounds, "datasets": _cmd_datasets}
     try:
         return command[args.pop("command")](args)
-    except (DuelSimError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"duelsim: error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from .bounds import check_count
 from .environment import PreferenceMatrix, validate_matrix
-from .errors import MatrixParseError
 
 # name -> data file; every built-in, arithmetic included, loads a CSV, and
 # the arm count is the loaded matrix's
@@ -75,22 +74,22 @@ def load_matrix_csv(path) -> PreferenceMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines:
-        raise MatrixParseError(f"{path}: empty matrix file")
+        raise ValueError(f"{path}: empty matrix file")
     rows = []
     width = lines[0].count(",") + 1
     for r, line in enumerate(lines):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != width:
-            raise MatrixParseError(f"{path}: row {r} has {len(cells)} columns, expected {width}")
+            raise ValueError(f"{path}: row {r} has {len(cells)} columns, expected {width}")
         row = []
         for c, cell in enumerate(cells):
             try:
                 row.append(float(cell))
             except ValueError:
-                raise MatrixParseError(f"{path}: row {r}, column {c}: {cell!r}") from None
+                raise ValueError(f"{path}: row {r}, column {c}: {cell!r}") from None
         rows.append(row)
     if len(rows) != width:
-        raise MatrixParseError(f"{path}: {len(rows)} rows by {width} columns is not square")
+        raise ValueError(f"{path}: {len(rows)} rows by {width} columns is not square")
     return validate_matrix(np.array(rows))
 
 

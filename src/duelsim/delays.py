@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import check_count
+from .bounds import check_count, is_real
 
 MAX_DELAY = 2**62  # longest delay: s + d stays within int64 for every step s < 2**62
 
@@ -86,7 +86,7 @@ class DelayDistribution:
 
 def geometric(p: float) -> DelayDistribution:
     """Geometric delay on {1, 2, ...}: P(D = d) = p(1-p)^(d-1), mean 1/p."""
-    if not 0.0 < p <= 1.0:
+    if not (is_real(p) and 0.0 < p <= 1.0):
         raise ValueError(f"geometric parameter must be in (0, 1], got {p}")
     if math.isinf(1.0 / p):
         raise ValueError(f"geometric parameter {p} too small: its mean 1/p overflows")

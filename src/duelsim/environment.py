@@ -32,14 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import check_bool
+from .bounds import check_bool, check_count
 from .delays import DelayDistribution
-from .errors import (
-    ComplementViolation,
-    HorizonExceeded,
-    ModeMismatch,
-    NoCondorcetWinner,
-)
 
 COMPLEMENT_TOL = 1e-6
 DRAW_CHUNK = 4096  # plays per block of outcome and delay draws
@@ -87,15 +81,13 @@ def validate_matrix(raw) -> PreferenceMatrix:
     violations = np.argwhere(np.abs(mu + mu.T - 1.0) > COMPLEMENT_TOL)
     if violations.size:  # in row-major order the first one has i <= j
         i, j = violations[0]
-        raise ComplementViolation(f"mu[{i},{j}] + mu[{j},{i}] = {mu[i, j] + mu[j, i]:.9f} != 1")
+        raise ValueError(f"mu[{i},{j}] + mu[{j},{i}] = {mu[i, j] + mu[j, i]:.9f} != 1")
     fixed = np.where(np.tri(k, k, -1, dtype=bool), 1.0 - mu.T, mu)  # lower from upper
     np.fill_diagonal(fixed, 0.5)
 
     dominant = np.flatnonzero(np.all((fixed > 0.5) | np.eye(k, dtype=bool), axis=1))
     if dominant.size != 1:
-        raise NoCondorcetWinner(
-            f"{dominant.size} rows dominate all others; expected exactly 1"
-        )
+        raise ValueError(f"{dominant.size} rows dominate all others; expected exactly 1")
     return PreferenceMatrix(mu=fixed, winner=int(dominant[0]))
 
 
@@ -117,8 +109,10 @@ class DuelingEnvironment:
     """Single-run environment: outcome sampling, delays, conversion delivery.
 
     Play t wins iff its outcome uniform is below mu[u, v] (draws: see the
-    module docstring).  Instances are single-threaded; run replications in
-    separate instances.
+    module docstring).  A bad horizon, arm pair or run length, a step past the
+    horizon, a future step observed and a call of the other mode's method
+    each fail with a one-line ValueError.  Instances are single-threaded;
+    run replications in separate instances.
     """
 
     def __init__(
@@ -132,7 +126,7 @@ class DuelingEnvironment:
         self.matrix = matrix
         self.delay = delay
         self.rng = rng
-        self.horizon = horizon
+        self.horizon = check_count("horizon", horizon, 1)
         check_bool("aggregated", aggregated)
         self.aggregated = aggregated
         self.k = matrix.k
@@ -156,12 +150,12 @@ class DuelingEnvironment:
     def step(self, u: int, v: int) -> PendingOutcome:
         """Play (u, v) at the current step and advance time by one."""
         if self.aggregated:
-            raise ModeMismatch("aggregated mode plays by play_run only")
+            raise ValueError("aggregated mode plays by play_run only")
         if not (0 <= u < self.k and 0 <= v < self.k):
             raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
         t = self.t
         if t > self.horizon:
-            raise HorizonExceeded(f"step {t} past horizon {self.horizon}")
+            raise ValueError(f"step {t} past horizon {self.horizon}")
         if t - self._start == DRAW_CHUNK:
             self._draw_chunk()
         if self._lists is None:  # one Python float read per step, no numpy scalar
@@ -190,7 +184,7 @@ class DuelingEnvironment:
         if not (0 <= u < self.k and 0 <= v < self.k):
             raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
         if end - 1 > self.horizon:
-            raise HorizonExceeded(f"step {max(t, self.horizon + 1)} past horizon {self.horizon}")
+            raise ValueError(f"step {max(t, self.horizon + 1)} past horizon {self.horizon}")
         i = t - self._start
         uniforms, delays = self._uniforms[i : i + n], self._delays[i : i + n]
         while uniforms.size < n:  # the run goes on into the next chunk
@@ -238,14 +232,14 @@ class DuelingEnvironment:
         A second call for the same t returns [].
         """
         if self.aggregated:
-            raise ModeMismatch("aggregated mode exposes only anonymous counts")
+            raise ValueError("aggregated mode exposes only anonymous counts")
         self._check_time(t)
         return self._landings.pop(t, [])
 
     def observe_aggregated(self, t: int) -> int:
         """Anonymous count of the conversions landing at step t, delivered once."""
         if not self.aggregated:
-            raise ModeMismatch("environment is not in aggregated mode")
+            raise ValueError("environment is not in aggregated mode")
         self._check_time(t)
         return self._pop_landings(t, t + 1)
 

@@ -44,7 +44,6 @@ import math
 import numpy as np
 
 from .bounds import check_count
-from .errors import OutOfOrder, UnknownPlay
 
 
 class DelayCorrectedEstimator:
@@ -87,7 +86,7 @@ class DelayCorrectedEstimator:
     def record_play(self, u: int, v: int, t: int) -> None:
         """Register the play at step t.  Times must strictly increase."""
         if t <= self.last_t:
-            raise OutOfOrder(f"play at t={t} after t={self.last_t}")
+            raise ValueError(f"play at t={t} after t={self.last_t}")
         if not (0 <= u < self.k and 0 <= v < self.k):
             raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
         k = self.k
@@ -115,7 +114,7 @@ class DelayCorrectedEstimator:
 
         Returns False when the conversion is older than the window (it is
         discarded, matching the censored-observation rule).  Idempotent for
-        duplicate events.  Raises UnknownPlay when s should still be in the
+        duplicate events.  Raises ValueError when s should still be in the
         window but no matching play was recorded.
         """
         if s <= self.last_t - self.m_window:
@@ -123,9 +122,9 @@ class DelayCorrectedEstimator:
         i = s % self.m_window
         key = int(self._keys[i])
         if s > self.last_t or key == self._empty:
-            raise UnknownPlay(f"no play recorded at t={s}")
+            raise ValueError(f"no play recorded at t={s}")
         if key != u * self.k + v:
-            raise UnknownPlay(f"play at t={s} was not of pair ({u}, {v})")
+            raise ValueError(f"play at t={s} was not of pair ({u}, {v})")
         if not self._converted[i]:
             self._converted[i] = True
             self._wins[u, v] += 1.0

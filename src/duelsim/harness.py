@@ -133,7 +133,7 @@ def run_one(
     DRAW_CHUNK plays in aggregated mode, where it returns a count and holds
     only numpy arrays; the cap changes no trace, since the pair order comes
     from the quotas alone.  Other policies play step by step, which
-    aggregated mode refuses with ModeMismatch.
+    aggregated mode refuses with a ValueError.
     policy_factory(matrix, rng) overrides the named policy (used for
     scripted policies in tests).
     """

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import check_bool, check_domain, is_real, n_schedule, n_schedule_aggregated
+from .bounds import check_bool, check_count, check_domain, is_real, n_schedule, n_schedule_aggregated
 from .estimator import DelayCorrectedEstimator, corrected_bounds
 
 
@@ -141,7 +141,7 @@ class RucbBaseline:
 
     def __init__(self, k: int, *, alpha: float, rng: np.random.Generator):
         check_domain("alpha", alpha)  # the calculators' rule
-        self.k = k
+        self.k = check_count("K", k, 1)
         self.alpha = alpha
         self.rng = rng
         self.wins = np.zeros((k, k), dtype=np.float64)
@@ -261,7 +261,7 @@ class MrrDbDelay:
         self, k: int, *, horizon: int, mean_delay: float, aggregated: bool = False
     ):
         check_bool("aggregated", aggregated)
-        self.k = k
+        self.k = check_count("K", k, 1)
         self.horizon = horizon
         self.mean_delay = mean_delay
         self.aggregated = aggregated

@@ -7,7 +7,10 @@ import pytest
 
 from duelsim import (
     DelayCorrectedEstimator,
+    DuelingEnvironment,
     ExperimentConfig,
+    MrrDbDelay,
+    RucbBaseline,
     arithmetic_matrix,
     c_delta,
     deterministic,
@@ -483,6 +486,12 @@ def _config(policy, **counts):
     return partial(ExperimentConfig, "arithmetic", policy, **counts)
 
 
+def _environment(horizon):
+    return DuelingEnvironment(
+        arithmetic_matrix(3), geometric(0.5), np.random.default_rng(0), horizon=horizon
+    )
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -517,13 +526,24 @@ def _config(policy, **counts):
         (partial(arithmetic_matrix, 2.5), "arm count must be an integer >= 2, got 2.5"),
         (partial(hard_instance_pair, 3.5, 0.1), "K must be an integer >= 3, got 3.5"),
         (partial(hard_instance_pair, 4, 0.1, 1.5), "k_star must be an integer >= 1, got 1.5"),
+        (partial(_environment, horizon=2.5), "horizon must be an integer >= 1, got 2.5"),
+        (partial(_environment, horizon=True), "horizon must be an integer >= 1, got True"),
+        (
+            partial(MrrDbDelay, True, horizon=100, mean_delay=1.0),
+            "K must be an integer >= 1, got True",
+        ),
+        (
+            partial(RucbBaseline, 2.5, alpha=0.51, rng=np.random.default_rng(0)),
+            "K must be an integer >= 1, got 2.5",
+        ),
     ],
     ids=[
         "horizon-float", "horizon-bool", "stride-float", "runs-float", "workers-float",
         "seed-float", "seed-negative", "window-float", "window-bool", "det-bool",
         "uniform-bool", "tau-table-bool", "estimator-k-float", "estimator-tau-short",
         "estimator-tau-2d", "estimator-tau-not-cdf", "arithmetic-k-float", "hard-k-float",
-        "hard-k-star-float",
+        "hard-k-star-float", "env-horizon-float", "env-horizon-bool", "mrr-k-bool",
+        "baseline-k-float",
     ],
 )
 def test_every_count_argument_fails_with_one_line(make, message):

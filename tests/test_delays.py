@@ -160,6 +160,12 @@ def test_parse_delay_spec_keeps_range_messages(spec, message):
         parse_delay_spec(spec)
 
 
+def test_geometric_parameter_is_never_bool():
+    # True == 1 would otherwise build the no-delay law
+    with pytest.raises(ValueError, match=r"^geometric parameter must be in \(0, 1\], got True$"):
+        geometric(True)
+
+
 def test_mean_matches_samples():
     rng = np.random.default_rng(5)
     dist = geometric(0.2)
