@@ -35,11 +35,23 @@ DOMAINS = {
 
 def check_count(name: str, x, low: int) -> int:
     """x as an int: the library's one count rule (an int or numpy integer, never bool, >= low)."""
+    if type(x) is int and x >= low:  # the common case, without the slower ABC test
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ValueError(f"{name} must be an integer >= {low}, got {x}")
     if x < low:
         raise ValueError(f"{name} must be >= {low}, got {x}")
     return int(x)
+
+
+def check_pair(u, v, k: int) -> None:
+    """Fail with one line unless u and v are arm indices in [0, k): the library's one
+    arm-pair rule (an int or numpy integer, never bool), with a fast path for ints."""
+    if type(u) is int and type(v) is int and 0 <= u < k and 0 <= v < k:
+        return
+    for x in (u, v):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not 0 <= x < k:
+            raise ValueError(f"arm pair ({u}, {v}) out of range for k={k}")
 
 
 def check_bool(name: str, x) -> None:

@@ -11,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 
-from .bounds import check_count
+from .bounds import check_count, is_real
 from .environment import PreferenceMatrix, validate_matrix
 
 # name -> data file; every built-in, arithmetic included, loads a CSV, and
@@ -50,7 +50,7 @@ def hard_instance_pair(
     because the adversarial choice depends on the algorithm under test.
     """
     check_count("K", k, 3)
-    if not 0.0 < delta <= 0.125:
+    if not (is_real(delta) and 0.0 < delta <= 0.125):
         raise ValueError(f"delta must lie in (0, 1/8], got {delta}")
     if check_count("k_star", k_star, 1) >= k:
         raise ValueError(f"k_star must be a suboptimal arm in [1, {k - 1}], got {k_star}")

@@ -3,7 +3,8 @@
 A delay D >= 1 is the number of steps between playing a pair and the
 outcome (if it was a win) becoming visible.  tau(d) = P(D <= d) is the
 delay CDF, with tau(0) = 0 by construction: feedback for the play at
-step s is first revealed at step s+1 at the earliest.
+step s is first revealed at step s+1 at the earliest.  The one CDF query
+is tau_table(m), the whole array tau(0..m) that a windowed estimator reads.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ def _validate_positive_int(name: str, value: int) -> int:
 
 @dataclass(frozen=True)
 class DelayDistribution:
-    """A discrete delay law: CDF, sampler and mean.
+    """A discrete delay law: CDF table, sampler and mean.
 
+    tau_table(m) builds tau(0..m) directly for each law: its entries are
+    the closed forms evaluated in Python floats (uniform's ramp by int
+    division), so no numpy rounding enters the weights.
     sample(rng, n) draws n delays as one block: geometric and uniform with
     one numpy call, a table with one searchsorted over rng.random(n).  No
     delay exceeds MAX_DELAY: geometric draws are clipped to it (numpy
@@ -41,36 +45,20 @@ class DelayDistribution:
     mean: float
     _cum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def tau(self, d: int) -> float:
-        """P(D <= d) for d >= 0; tau(0) = 0."""
-        if d < 0:
-            raise ValueError(f"delay index must be >= 0, got {d}")
-        if d == 0:
-            return 0.0
+    def tau_table(self, m: int) -> np.ndarray:
+        """Array [tau(0), tau(1), ..., tau(m)] for windowed estimators; tau(0) = 0."""
+        m = _validate_positive_int("table length", m)
         if self.kind == "geometric":
-            (p,) = self.params
-            return 1.0 - (1.0 - p) ** d
+            q = 1.0 - self.params[0]
+            return np.array([0.0] + [1.0 - q**d for d in range(1, m + 1)])
         if self.kind == "deterministic":
-            (d0,) = self.params
-            return 1.0 if d >= d0 else 0.0
+            return (np.arange(m + 1) >= self.params[0]).astype(np.float64)
         if self.kind == "uniform":
             lo, hi = self.params
-            if d < lo:
-                return 0.0
-            if d >= hi:
-                return 1.0
-            return (d - lo + 1) / (hi - lo + 1)
-        # table
-        cum = self._cum
-        assert cum is not None
-        if d >= len(cum):
-            return 1.0
-        return float(cum[d - 1])
-
-    def tau_table(self, m: int) -> np.ndarray:
-        """Array [tau(0), tau(1), ..., tau(m)] for windowed estimators."""
-        m = _validate_positive_int("table length", m)
-        return np.array([self.tau(d) for d in range(m + 1)], dtype=np.float64)
+            ramp = [(d - lo + 1) / (hi - lo + 1) for d in range(lo, min(hi, m + 1))]
+            return np.array([0.0] * min(lo, m + 1) + ramp + [1.0] * max(m + 1 - hi, 0))
+        cum = self._cum[:m]
+        return np.concatenate(([0.0], cum, np.ones(m - cum.size)))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n delays as an int64 array, drawn as one block from rng."""

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import check_bool, check_count
+from .bounds import check_bool, check_count, check_pair
 from .delays import DelayDistribution
 
 COMPLEMENT_TOL = 1e-6
@@ -151,8 +151,7 @@ class DuelingEnvironment:
         """Play (u, v) at the current step and advance time by one."""
         if self.aggregated:
             raise ValueError("aggregated mode plays by play_run only")
-        if not (0 <= u < self.k and 0 <= v < self.k):
-            raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
+        check_pair(u, v, self.k)
         t = self.t
         if t > self.horizon:
             raise ValueError(f"step {t} past horizon {self.horizon}")
@@ -177,12 +176,10 @@ class DuelingEnvironment:
         by play step) or observe_aggregated (a count) would have delivered
         them over those steps.  Later wins landing by horizon + 1 stay queued.
         """
+        n = check_count("run length", n, 1)
+        check_pair(u, v, self.k)
         t = self.t
         end = t + n
-        if n < 1:
-            raise ValueError(f"run length must be >= 1, got {n}")
-        if not (0 <= u < self.k and 0 <= v < self.k):
-            raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
         if end - 1 > self.horizon:
             raise ValueError(f"step {max(t, self.horizon + 1)} past horizon {self.horizon}")
         i = t - self._start

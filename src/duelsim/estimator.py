@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .bounds import check_count
+from .bounds import check_count, check_pair
 
 
 class DelayCorrectedEstimator:
@@ -84,11 +84,12 @@ class DelayCorrectedEstimator:
     # -- bookkeeping ------------------------------------------------------
 
     def record_play(self, u: int, v: int, t: int) -> None:
-        """Register the play at step t.  Times must strictly increase."""
+        """Register the play at step t.  Times must be integers and strictly increase."""
+        if type(t) is not int:
+            t = check_count("step", t, 1)
         if t <= self.last_t:
             raise ValueError(f"play at t={t} after t={self.last_t}")
-        if not (0 <= u < self.k and 0 <= v < self.k):
-            raise ValueError(f"arm pair ({u}, {v}) out of range for k={self.k}")
+        check_pair(u, v, self.k)
         k = self.k
         m = self.m_window
         keys = self._keys

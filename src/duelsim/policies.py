@@ -311,7 +311,8 @@ class MrrDbDelay:
         return eliminated
 
     def select_run(self, t: int, limit: int) -> tuple[PolicyAction, int]:
-        """The pair for steps t, t+1, ..., t+n-1 and its run length n <= limit."""
+        """The pair for steps t, t+1, ..., t+n-1 and its run length 1 <= n <= limit."""
+        limit = check_count("limit", limit, 1)
         while len(self.active) > 1:
             if self._pos == len(self._pairs):
                 self.end_round()

@@ -1,10 +1,11 @@
-"""Best-worst-case, elimination, bound, MRR select and winner rules as first written, kept as references.
+"""Best-worst-case, elimination, bound, MRR select, winner and delay CDF rules as first written, kept as references.
 
 The policies now share list-based helpers, RrDbDelay reads its bounds from
-estimator.corrected_bounds, MrrDbDelay selects in one loop and the winner
-rules are written once; these are verbatim copies of the dict- and
-numpy-based rules, of the scalar round-robin bound, of the
-next_pair/RoundComplete select and of the declared_winner methods they
+estimator.corrected_bounds, MrrDbDelay selects in one loop, the winner
+rules are written once and a delay law answers only whole-table CDF
+queries; these are verbatim copies of the dict- and numpy-based rules, of
+the scalar round-robin bound, of the next_pair/RoundComplete select, of
+the declared_winner methods and of the scalar DelayDistribution.tau they
 replaced.
 """
 
@@ -139,3 +140,30 @@ def mrr_declared_winner(self):
         if score > best_score:
             best, best_score = i, score
     return best if best is not None else self.active[0]
+
+
+def reference_tau(law, d):
+    """DelayDistribution.tau: P(D <= d) for d >= 0, tau(0) = 0, with the law passed as law."""
+    if d < 0:
+        raise ValueError(f"delay index must be >= 0, got {d}")
+    if d == 0:
+        return 0.0
+    if law.kind == "geometric":
+        (p,) = law.params
+        return 1.0 - (1.0 - p) ** d
+    if law.kind == "deterministic":
+        (d0,) = law.params
+        return 1.0 if d >= d0 else 0.0
+    if law.kind == "uniform":
+        lo, hi = law.params
+        if d < lo:
+            return 0.0
+        if d >= hi:
+            return 1.0
+        return (d - lo + 1) / (hi - lo + 1)
+    # table
+    cum = law._cum
+    assert cum is not None
+    if d >= len(cum):
+        return 1.0
+    return float(cum[d - 1])

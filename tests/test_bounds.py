@@ -492,6 +492,10 @@ def _environment(horizon):
     )
 
 
+def _estimator():
+    return DelayCorrectedEstimator(3, geometric(0.5).tau_table(10))
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -536,6 +540,13 @@ def _environment(horizon):
             partial(RucbBaseline, 2.5, alpha=0.51, rng=np.random.default_rng(0)),
             "K must be an integer >= 1, got 2.5",
         ),
+        (lambda: _environment(10).play_run(0, 1, 2.5), "run length must be an integer >= 1, got 2.5"),
+        (lambda: _estimator().record_play(0, 1, 1.5), "step must be an integer >= 1, got 1.5"),
+        (
+            lambda: MrrDbDelay(3, horizon=100, mean_delay=1.0).select_run(1, 0),
+            "limit must be >= 1, got 0",
+        ),
+        (partial(hard_instance_pair, 3, "0.1"), "delta must lie in (0, 1/8], got 0.1"),
     ],
     ids=[
         "horizon-float", "horizon-bool", "stride-float", "runs-float", "workers-float",
@@ -543,12 +554,35 @@ def _environment(horizon):
         "uniform-bool", "tau-table-bool", "estimator-k-float", "estimator-tau-short",
         "estimator-tau-2d", "estimator-tau-not-cdf", "arithmetic-k-float", "hard-k-float",
         "hard-k-star-float", "env-horizon-float", "env-horizon-bool", "mrr-k-bool",
-        "baseline-k-float",
+        "baseline-k-float", "run-length-float", "record-step-float", "mrr-limit-zero",
+        "hard-delta-str",
     ],
 )
 def test_every_count_argument_fails_with_one_line(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+# ---------------------------------------------------------------------------
+# every arm pair follows bounds.check_pair
+# ---------------------------------------------------------------------------
+
+PAIR_SITES = {
+    "step": lambda u, v: _environment(10).step(u, v),
+    "play_run": lambda u, v: _environment(10).play_run(u, v, 2),
+    "record_play": lambda u, v: _estimator().record_play(u, v, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "u, v", [(-1, 1), (0, 3), (0.5, 1), (0, 1.0), (True, 1)],
+    ids=["negative", "k", "half", "float-one", "bool"],
+)
+@pytest.mark.parametrize("site", PAIR_SITES.values(), ids=PAIR_SITES.keys())
+def test_every_arm_pair_fails_with_one_line(site, u, v):
+    message = f"arm pair ({u}, {v}) out of range for k=3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        site(u, v)
 
 
 def test_numpy_integer_counts_accepted_outside_the_calculators():
@@ -557,3 +591,9 @@ def test_numpy_integer_counts_accepted_outside_the_calculators():
     assert deterministic(np.int64(3)).params == (3,)
     assert geometric(0.5).tau_table(np.int64(4)).shape == (5,)
     assert DelayCorrectedEstimator(np.int64(3), geometric(0.5).tau_table(np.int64(4))).k == 3
+    assert _environment(10).step(np.int64(2), np.int32(0))[:3] == (1, 2, 0)
+    env = _environment(10)
+    assert isinstance(env.play_run(np.int64(2), np.int32(0), np.int64(3)), list) and env.t == 4
+    est = _estimator()
+    est.record_play(np.int64(2), np.int32(0), np.int64(1))
+    assert (est.n[2, 0], est.last_t) == (1, 1) and type(est.last_t) is int

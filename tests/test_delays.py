@@ -6,6 +6,7 @@ import pytest
 
 from duelsim import deterministic, from_table, geometric, parse_delay_spec, uniform_delay
 from duelsim.delays import MAX_DELAY
+from reference_rules import reference_tau
 
 # 99.9% chi-square quantiles by degrees of freedom, for the sampler fits
 CHI2_999 = {4: 18.467, 9: 27.877, 10: 29.588}
@@ -13,32 +14,33 @@ CHI2_999 = {4: 18.467, 9: 27.877, 10: 29.588}
 
 def test_geometric_cdf_values():
     d = geometric(0.01)
-    assert d.tau(0) == 0.0
-    assert d.tau(1) == pytest.approx(0.01)
-    assert d.tau(1000) == pytest.approx(1 - 0.99**1000)
+    tau = d.tau_table(1000)
+    assert tau[0] == 0.0
+    assert tau[1] == pytest.approx(0.01)
+    assert tau[1000] == pytest.approx(1 - 0.99**1000)
     # the closed form, not the loosely rounded 0.999
-    assert d.tau(1000) == pytest.approx(0.9999568, abs=1e-6)
+    assert tau[1000] == pytest.approx(0.9999568, abs=1e-6)
     assert d.mean == pytest.approx(100.0)
 
 
 def test_deterministic_cdf_is_step():
-    d = deterministic(1)
-    assert d.tau(0) == 0.0
-    assert all(d.tau(t) == 1.0 for t in (1, 2, 5, 1000))
+    tau = deterministic(1).tau_table(1000)
+    assert tau[0] == 0.0
+    assert all(tau[t] == 1.0 for t in (1, 2, 5, 1000))
     d3 = deterministic(3)
-    assert d3.tau(2) == 0.0 and d3.tau(3) == 1.0
+    assert d3.tau_table(3).tolist() == [0.0, 0.0, 0.0, 1.0]
     assert d3.mean == 3.0
 
 
 def test_uniform_cdf_and_mean():
     d = uniform_delay(2, 5)
-    assert [d.tau(x) for x in (1, 2, 3, 4, 5, 6)] == [0.0, 0.25, 0.5, 0.75, 1.0, 1.0]
+    assert d.tau_table(6).tolist() == [0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.0]
     assert d.mean == 3.5
 
 
 def test_table_cdf_mean_and_validation():
     d = from_table([0.5, 0.25, 0.25])
-    assert d.tau(1) == 0.5 and d.tau(2) == 0.75 and d.tau(3) == 1.0 and d.tau(9) == 1.0
+    assert d.tau_table(9).tolist() == [0.0, 0.5, 0.75] + [1.0] * 7
     assert d.mean == pytest.approx(1.75)
     with pytest.raises(ValueError):
         from_table([0.5, 0.4])  # does not sum to 1
@@ -50,7 +52,7 @@ def test_cdf_monotone_in_unit_interval():
     # the cumulative sum of [1/6, 4/6, 1/6, 0] passes 1 before its last entry
     tables = (from_table([0.1, 0.9]), from_table([1 / 6, 4 / 6, 1 / 6, 0.0]))
     for d in (geometric(0.3), deterministic(4), uniform_delay(1, 7), *tables):
-        taus = [d.tau(x) for x in range(0, 30)]
+        taus = d.tau_table(29).tolist()
         assert all(0.0 <= x <= 1.0 for x in taus)
         assert all(b >= a for a, b in zip(taus, taus[1:]))
 
@@ -59,6 +61,38 @@ def test_tau_table_shape():
     t = geometric(0.1).tau_table(50)
     assert t.shape == (51,)
     assert t[0] == 0.0 and t[1] == pytest.approx(0.1)
+
+
+# laws whose tables numpy arithmetic would round differently: np.power for a
+# small geometric p, a numpy clip / w ramp for a wide uniform law, and
+# deterministic and table laws at the window's edge
+TABLE_LAWS = {
+    "geometric:0.3": geometric(0.3),
+    "geometric:0.01": geometric(0.01),
+    "geometric:0.0001": geometric(0.0001),
+    "geometric:1": geometric(1.0),
+    "det:1": deterministic(1),
+    "det:1000": deterministic(1000),
+    "det:1001": deterministic(1001),
+    "uniform:2,5": uniform_delay(2, 5),
+    "uniform:1000,1001": uniform_delay(1000, 1001),
+    "uniform:3,13510798882111489": uniform_delay(3, 13510798882111489),
+    "uniform:1,4611686018427375559": uniform_delay(1, 4611686018427375559),
+    "table:3": from_table([0.5, 0.25, 0.25]),
+    "table:past-1": from_table([1 / 6, 4 / 6, 1 / 6, 0.0]),
+    "table:1000": from_table(np.full(1000, 0.001)),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 999, 1000, 1001])
+@pytest.mark.parametrize("law", TABLE_LAWS.values(), ids=TABLE_LAWS.keys())
+def test_tau_table_matches_scalar_rule_bytes(law, m):
+    want = np.array([reference_tau(law, d) for d in range(m + 1)], dtype=np.float64)
+    assert law.tau_table(m).tobytes() == want.tobytes()
+
+
+def test_cdf_is_one_table_query():
+    assert not hasattr(geometric(0.5), "tau")
 
 
 def _chi2_fit(dist, bins, n=20000, seed=7):
@@ -72,7 +106,7 @@ def _chi2_fit(dist, bins, n=20000, seed=7):
     stat = 0.0
     covered = 0.0
     for cell in bins[:-1]:
-        p = sum(dist.tau(d) - dist.tau(d - 1) for d in cell)
+        p = sum(reference_tau(dist, d) - reference_tau(dist, d - 1) for d in cell)
         covered += p
         observed = np.isin(draws, list(cell)).sum()
         stat += (observed - n * p) ** 2 / (n * p)

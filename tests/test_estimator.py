@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from duelsim import (
     geometric,
     uniform_delay,
 )
+from reference_rules import reference_tau
 
 
 def make_est(k=3, m=50, p=0.1):
@@ -163,7 +165,7 @@ class TestDiscountedCount:
         est.record_play(0, 1, 1)
         for t in range(2, 30):
             est.record_play(1, 2, t)
-        tau_m = dist.tau(10)
+        tau_m = reference_tau(dist, 10)
         assert pair_stats(est, 0, 1, 30)[1] == pytest.approx(tau_m + 0.0, abs=1e-12)
         # still tau_m much later
         assert pair_stats(est, 0, 1, 300)[1] == pytest.approx(tau_m, abs=1e-12)
@@ -176,7 +178,7 @@ class TestDiscountedCount:
             est.record_play(*pair, t)
         # query one step past the last play so every entry has age >= 1
         n, n_tilde, _, _ = pair_stats(est, 0, 1, 400)
-        assert dist.tau(1) * n <= n_tilde <= dist.tau(30) * n
+        assert reference_tau(dist, 1) * n <= n_tilde <= reference_tau(dist, 30) * n
 
     def test_time_gaps_fold_multiple_entries(self):
         est, dist = make_est(k=3, m=10)
@@ -184,7 +186,7 @@ class TestDiscountedCount:
             est.record_play(0, 1, t)
         est.record_play(1, 2, 50)  # ages 49, 48, 47 all fold at once
         assert window_size(est) == 1
-        tau_m = dist.tau(10)
+        tau_m = reference_tau(dist, 10)
         assert pair_stats(est, 0, 1, 51)[1] == pytest.approx(3 * tau_m)
         # conversions for the folded plays are quietly discarded
         assert est.ingest_conversion(2, 0, 1) is False
@@ -203,7 +205,7 @@ class TestBiasCorrectedCount:
         est, dist = make_est()
         est.record_play(1, 0, 1)  # play of (j, i) from the view of pair (0, 1)
         age = 3
-        assert pair_stats(est, 0, 1, 1 + age)[2] == pytest.approx(dist.tau(age))
+        assert pair_stats(est, 0, 1, 1 + age)[2] == pytest.approx(reference_tau(dist, age))
 
     def test_identity_holds_on_random_stream(self):
         est, dist = make_est(k=4, m=25, p=0.15)
@@ -240,7 +242,7 @@ class TestAgainstBruteForce:
                     for j in range(k):
                         n, n_tilde, s_ij, s_ji = pair_stats(est, i, j, t)
                         bn, bnt, bs_ij, bs_ji = brute_force_stats(
-                            plays, conversions, i, j, t, m, dist.tau
+                            plays, conversions, i, j, t, m, partial(reference_tau, dist)
                         )
                         assert n == bn
                         assert n_tilde == pytest.approx(bnt, abs=1e-9)
@@ -301,6 +303,7 @@ class TestProperties:
         """
         k, m, dist, steps = stream
         est = DelayCorrectedEstimator(k, dist.tau_table(m))
+        tau = partial(reference_tau, dist)
         plays, delivered, pending = [], {}, {}
 
         def deliver_upto(t):
@@ -315,7 +318,7 @@ class TestProperties:
                 for j in range(k):
                     stats = (n_mat[i, j], nt_mat[i, j], s_mat[i, j], s_mat[j, i])
                     n, n_tilde, s_ij, s_ji = stats
-                    brute = brute_force_stats(plays, delivered, i, j, tq, m, dist.tau)
+                    brute = brute_force_stats(plays, delivered, i, j, tq, m, tau)
                     assert n == brute[0]
                     assert stats[1:] == pytest.approx(brute[1:], abs=1e-9)
                     assert 0.0 <= n_tilde <= n

@@ -60,6 +60,14 @@ def test_integer_type_test_only_in_bounds():
     assert users == ["bounds.py"]
 
 
+def test_pair_rule_only_in_bounds():
+    """Arm pairs are checked by bounds.check_pair alone: the environment's step and
+    play_run and the estimator's record_play once each wrote out their own copy."""
+    package_dir = Path(duelsim.__file__).parent
+    users = [p.name for p in package_dir.rglob("*.py") if "out of range for k=" in p.read_text("utf-8")]
+    assert users == ["bounds.py"]
+
+
 def test_each_size_is_stated_once():
     """The tau table's length fixes the estimator's window M, and a built-in's
     CSV fixes its arm count: no constructor takes M beside the table, and the
