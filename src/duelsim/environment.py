@@ -18,7 +18,8 @@ depends on the plays alone, not on how step and play_run split them.
 
 The environment keeps only the undelivered wins that can still be observed,
 those landing by horizon + 1, keyed by landing step: O(pending wins), not
-O(t).  Each step's conversions are handed out once: observing t removes them.
+O(t).  observe_new and observe_aggregated hand out the conversions landing
+at the current step t, once: a second call at the same step finds none.
 The full censored view Y_{s,t} is the running union of those deliveries.
 Aggregated mode hands out counts only and plays by play_run only: it
 queues one sorted int64 array of landing steps, one entry per win, counted
@@ -110,9 +111,9 @@ class DuelingEnvironment:
 
     Play t wins iff its outcome uniform is below mu[u, v] (draws: see the
     module docstring).  A bad horizon, arm pair or run length, a step past the
-    horizon, a future step observed and a call of the other mode's method
-    each fail with a one-line ValueError.  Instances are single-threaded;
-    run replications in separate instances.
+    horizon and a call of the other mode's method each fail with a one-line
+    ValueError.  Instances are single-threaded; run replications in separate
+    instances.
     """
 
     def __init__(
@@ -222,23 +223,21 @@ class DuelingEnvironment:
         delivered.sort(key=lambda o: o.s + o.d)
         return delivered
 
-    def observe_new(self, t: int) -> list[PendingOutcome]:
-        """Conversions landing exactly at step t, delivered once.
+    def observe_new(self) -> list[PendingOutcome]:
+        """Conversions landing exactly at the current step t, delivered once.
 
-        Y_{s,t} = 1 iff some observe_new(t') with t' <= t contained play s.
-        A second call for the same t returns [].
+        Y_{s,t} = 1 iff some observe_new() at a step t' <= t contained play s.
+        A second call at the same step returns [].
         """
         if self.aggregated:
             raise ValueError("aggregated mode exposes only anonymous counts")
-        self._check_time(t)
-        return self._landings.pop(t, [])
+        return self._landings.pop(self.t, [])
 
-    def observe_aggregated(self, t: int) -> int:
-        """Anonymous count of the conversions landing at step t, delivered once."""
+    def observe_aggregated(self) -> int:
+        """Anonymous count of the conversions landing at the current step, delivered once."""
         if not self.aggregated:
             raise ValueError("environment is not in aggregated mode")
-        self._check_time(t)
-        return self._pop_landings(t, t + 1)
+        return self._pop_landings(self.t, self.t + 1)
 
     def _pop_landings(self, first: int, end: int) -> int:
         """Unqueue the aggregated wins landing at steps first..end-1; their count."""
@@ -249,7 +248,3 @@ class DuelingEnvironment:
         if lo < hi:
             self._landings = queue[hi:] if lo == 0 else np.concatenate((queue[:lo], queue[hi:]))
         return hi - lo
-
-    def _check_time(self, t: int) -> None:
-        if t > self.t:
-            raise ValueError(f"cannot observe future step {t} (current {self.t})")

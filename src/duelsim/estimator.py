@@ -1,7 +1,7 @@
 """Windowed, delay-corrected pairwise statistics.
 
-Per ordered play of (u, v) at step s, queried at step t with censoring
-window M and delay CDF tau:
+Per ordered play of (u, v) at step s, seen from the current step t with
+censoring window M and delay CDF tau:
 
   weight(s)  = tau(min(M, t - s))          (0 for t <= s since tau(0) = 0)
   N[i, j]    = plays of (i, j) + (j, i), either order
@@ -14,21 +14,20 @@ A play older than M is frozen: its weight is tau(M) forever and late
 conversions are ignored, so it is folded into permanent aggregates and
 dropped from the window.  Storage is O(K^2 + M) regardless of t.
 
-The window is one ring buffer of M slots: the play at step s lives in
-slot s mod M, which is collision-free because play times strictly
-increase and the window only holds plays with s > t - M.  Each slot has
-a pair key u * K + v and a converted flag.  The keys are written twice,
-at i and i + M of a 2M array, so the window in chronological order is
-always the contiguous view keys[h : h + M] with h = (last_t + 1) mod M.
-Empty and folded slots hold the sentinel key K * K, whose bincount bin
-is dropped.  Position p of that view holds the play at
-s = last_t + 1 - M + p, so play times need no storage: the weights
-tau(clip(t - s, 0, M)) of a query at t are the view ext[M - d : 2M - d]
-of one table ext[i] = tau(clip(2M - i, 0, M)), with d = t - last_t - 1
-clamped to [-M, M], and a whole-matrix query is one bincount that adds
-each pair's weights oldest first.
+The estimator records one play per step, so it describes the current
+step last_t + 1 from the plays s <= last_t.  The window is one ring
+buffer of M slots: the play at step s lives in slot s mod M, holding the
+plays of the last M steps.  Each slot has a pair key u * K + v and a
+converted flag.  The keys are written twice, at i and i + M of a 2M
+array, so the window in chronological order is always the contiguous
+view keys[h : h + M] with h = (last_t + 1) mod M.  Empty slots hold the
+sentinel key K * K, whose bincount bin is dropped.  Position p of that
+view holds the play at s = last_t + 1 - M + p, of age M - p, so every
+query weights the view by the one table tau(M), tau(M - 1), ..., tau(1),
+and a whole-matrix query is one bincount that adds each pair's weights
+oldest first.
 
-The one statistics query is matrices(t), the whole K x K arrays N, Ntilde
+The one statistics query is matrices(), the whole K x K arrays N, Ntilde
 and S; S/Ntilde is the unbiased, unclipped preference estimate.  rucb-delay
 (log term log t, via ucb_matrix) and rrdb-delay (alpha 1, log term
 log(K t / delta)) rank pairs by one delay-corrected bound, corrected_bounds.
@@ -76,35 +75,31 @@ class DelayCorrectedEstimator:
         self._empty = k * k
         self._keys = np.full(2 * m_window, self._empty, dtype=np.int64)
         self._converted = np.zeros(m_window, dtype=bool)
-        # ext[i] = tau(clip(2M - i, 0, M)): every query's weights are a view of it
-        lag = np.clip(2 * m_window - np.arange(3 * m_window), 0, m_window)
-        self._ext = tau_table[lag]
+        # tau(M), ..., tau(1): the weights of the window, oldest first, as a
+        # contiguous copy, since bincount would copy a strided view on every query
+        self._weights = tau_table[m_window:0:-1].copy()
         self.last_t = 0
 
     # -- bookkeeping ------------------------------------------------------
 
     def record_play(self, u: int, v: int, t: int) -> None:
-        """Register the play at step t.  Times must be integers and strictly increase."""
+        """Register the play at step t = last_t + 1: one play per step."""
         if type(t) is not int:
             t = check_count("step", t, 1)
-        if t <= self.last_t:
-            raise ValueError(f"play at t={t} after t={self.last_t}")
+        if t != self.last_t + 1:
+            raise ValueError(f"play at t={t}, expected t={self.last_t + 1}")
         check_pair(u, v, self.k)
         k = self.k
         m = self.m_window
         keys = self._keys
-        # a play can still convert at age M, and those conversions are
-        # ingested before the step-t play is recorded, so s <= t - M is final.
-        # The window holds s in (last_t - M, last_t], one time per slot, so
-        # these candidates visit each slot at most once even across long gaps.
-        for s in range(self.last_t - m + 1, min(t - m, self.last_t) + 1):
-            i = s % m
-            key = int(keys[i])
-            if key != self._empty:
-                self._folded_plays[divmod(key, k)] += 1.0
-                self._converted[i] = False
-                keys[i] = keys[i + m] = self._empty
+        # slot t mod M holds the play at t - M, which can still convert at age
+        # M; those conversions are ingested before the step-t play is
+        # recorded, so it is final now and folds out of the window
         i = t % m
+        key = int(keys[i])
+        if key != self._empty:
+            self._folded_plays[divmod(key, k)] += 1.0
+            self._converted[i] = False
         keys[i] = keys[i + m] = u * k + v
         self.n[u, v] += 1
         self.n[v, u] += 1
@@ -118,6 +113,9 @@ class DelayCorrectedEstimator:
         duplicate events.  Raises ValueError when s should still be in the
         window but no matching play was recorded.
         """
+        if type(s) is not int or s < 1:
+            s = check_count("step", s, 1)
+        check_pair(u, v, self.k)
         if s <= self.last_t - self.m_window:
             return False
         i = s % self.m_window
@@ -133,25 +131,23 @@ class DelayCorrectedEstimator:
 
     # -- queries ----------------------------------------------------------
 
-    def matrices(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(N, Ntilde, S) as K x K arrays at step t.  N is a read-only view of
-        the live counts, not a copy: writing through it raises, and it follows
-        later record_play calls."""
+    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(N, Ntilde, S) as K x K arrays at step last_t + 1.  N is a read-only
+        view of the live counts, not a copy: writing through it raises, and it
+        follows later record_play calls."""
         k = self.k
-        m = self.m_window
-        h = (self.last_t + 1) % m
-        d = min(max(t - self.last_t - 1, -m), m)
-        w = self._ext[m - d : 2 * m - d]
-        window = np.bincount(self._keys[h : h + m], weights=w, minlength=k * k + 1)
+        h = (self.last_t + 1) % self.m_window
+        keys = self._keys[h : h + self.m_window]
+        window = np.bincount(keys, weights=self._weights, minlength=k * k + 1)
         a = self.tau_m * self._folded_plays + window[: k * k].reshape(k, k)
         y = self._wins
         n_tilde = a + a.T
         s = y + (a.T - y.T)
         return self._n_read, n_tilde, s
 
-    def ucb_matrix(self, t: int, alpha: float) -> np.ndarray:
-        """corrected_bounds at step t with log term log t."""
-        return corrected_bounds(*self.matrices(t), alpha, math.log(t))
+    def ucb_matrix(self, alpha: float) -> np.ndarray:
+        """corrected_bounds at step t = last_t + 1 with log term log t."""
+        return corrected_bounds(*self.matrices(), alpha, math.log(self.last_t + 1))
 
 
 def corrected_bounds(n, n_tilde, s, alpha: float, log_term: float) -> np.ndarray:

@@ -179,7 +179,7 @@ def run_one(
     run_cap = DRAW_CHUNK if config.aggregated else config.window
     t = 1
     while t <= horizon:
-        feed(t, deliver(t))
+        feed(deliver())
         if select_run is None:
             u, v = select(t)
             step(u, v)
@@ -189,7 +189,7 @@ def run_one(
             t += 1
         else:
             (u, v), n = select_run(t, min(run_cap, horizon + 1 - t))
-            feed(t + n - 1, play_run(u, v, n))
+            feed(play_run(u, v, n))
             # the run's first multiple of stride is its (-t % stride + 1)-th play
             cumulative = repeated_sum(
                 cumulative, (gaps[u] + gaps[v]) / 2.0, n, -t % stride + 1, stride, regret

@@ -2,8 +2,8 @@
 
 Every policy exposes:
   select(t) -> PolicyAction     choose and commit the pair for step t
-  observe(t, conversions)       deliver conversion events landing at t
-  observe_count(t, count)       anonymous-count variant (multi-round only)
+  observe(conversions)          deliver the conversion events landing now
+  observe_count(count)          anonymous-count variant (multi-round only)
 
 and read-only inspection for the harness: declared_winner() on all four,
 active_arms on the elimination policies only.  MrrDbDelay also has
@@ -111,17 +111,17 @@ class RucbDelay:
         self.best: int | None = None
 
     def select(self, t: int) -> PolicyAction:
-        ucb = self.est.ucb_matrix(t, self.alpha)
+        ucb = self.est.ucb_matrix(self.alpha)
         u, v, self.best = _champion_pair(ucb, self.best, self.rng)
         self.est.record_play(u, v, t)
         return PolicyAction(u, v)
 
-    def observe(self, t: int, conversions) -> None:
+    def observe(self, conversions) -> None:
         for o in conversions:
             self.est.ingest_conversion(o.s, o.u, o.v)
 
     def declared_winner(self) -> int:
-        return _ucb_winner(self.best, self.est.ucb_matrix(self.est.last_t + 1, self.alpha))
+        return _ucb_winner(self.best, self.est.ucb_matrix(self.alpha))
 
 
 class RucbBaseline:
@@ -147,7 +147,7 @@ class RucbBaseline:
         self.wins = np.zeros((k, k), dtype=np.float64)
         self.best: int | None = None
         self.last_t = 0
-        self._unobserved: tuple[int, int, int] | None = None  # (s, u, v)
+        self._unobserved: tuple[int, int] | None = None  # the pair played at last_t
 
     def _ucb_matrix(self, t: int) -> np.ndarray:
         n = self.wins + self.wins.T  # undiscounted: N and Ntilde coincide
@@ -155,18 +155,18 @@ class RucbBaseline:
 
     def select(self, t: int) -> PolicyAction:
         u, v, self.best = _champion_pair(self._ucb_matrix(t), self.best, self.rng)
-        self._unobserved = (t, u, v)
+        self._unobserved = (u, v)
         self.last_t = t
         return PolicyAction(u, v)
 
-    def observe(self, t: int, conversions) -> None:
+    def observe(self, conversions) -> None:
         converted_now = set()
         for o in conversions:
             self.wins[o.u, o.v] += 1.0
             converted_now.add(o.s)
         if self._unobserved is not None:
-            s, u, v = self._unobserved
-            if s not in converted_now:
+            u, v = self._unobserved
+            if self.last_t not in converted_now:
                 self.wins[v, u] += 1.0  # the zero reads as a second-arm win
             self._unobserved = None
 
@@ -205,7 +205,7 @@ class RrDbDelay:
             raise ValueError(
                 f"delta {self.delta} too small: K*t/delta overflows for K={self.k}, t={t}"
             )
-        bounds = corrected_bounds(*self.est.matrices(t), 1.0, log_term).tolist()
+        bounds = corrected_bounds(*self.est.matrices(), 1.0, log_term).tolist()
         active = _unbeaten(bounds, self.active, 0.0) or [_best_worst_case(bounds, self.active)]
         if len(active) < len(self.active):  # the sweep changes only when an arm drops
             self.active = active
@@ -224,7 +224,7 @@ class RrDbDelay:
         self.est.record_play(action.u, action.v, t)
         return action
 
-    def observe(self, t: int, conversions) -> None:
+    def observe(self, conversions) -> None:
         for o in conversions:
             self.est.ingest_conversion(o.s, o.u, o.v)
 
@@ -332,12 +332,12 @@ class MrrDbDelay:
     def select(self, t: int) -> PolicyAction:
         return self.select_run(t, 1)[0]
 
-    def observe(self, t: int, conversions) -> None:
+    def observe(self, conversions) -> None:
         for o in conversions:
             key = (o.u, o.v)
             self.convs[key] = self.convs.get(key, 0.0) + 1.0
 
-    def observe_count(self, t: int, count: int) -> None:
+    def observe_count(self, count: int) -> None:
         if count and self._prev_pair is not None:
             key = self._prev_pair
             self.convs[key] = self.convs.get(key, 0.0) + count

@@ -113,7 +113,7 @@ def rucb_declared_winner(self):
     """RucbDelay.declared_winner, with the policy passed as self."""
     if self.best is not None:
         return self.best
-    ucb = self.est.ucb_matrix(self.est.last_t + 1, self.alpha)
+    ucb = self.est.ucb_matrix(self.alpha)
     return _best_worst_case((1.0 - ucb.T).tolist(), range(self.k))
 
 

@@ -84,18 +84,18 @@ def test_criterion_1_estimator_identity():
             est.ingest_conversion(*event)
         u = int(us[t - 1])
         v = int(vs[t - 1])
-        _, n_tilde, s_ij, s_ji = pair_stats(est, u, v, t)
+        _, n_tilde, s_ij, s_ji = pair_stats(est, u, v)
         gap = abs(s_ij + s_ji - n_tilde) / max(1.0, n_tilde)
         if gap > worst:
             worst = gap
+        if t % 100_000 == 0:
+            _, nt_mat, s_mat = est.matrices()
+            full_gap = np.abs(s_mat + s_mat.T - nt_mat) / np.maximum(1.0, nt_mat)
+            worst = max(worst, float(full_gap.max()))
         est.record_play(u, v, t)
         if xs[t - 1]:
             # all conversions are delivered; the estimator discards late ones
             pending.setdefault(t + int(ds[t - 1]), []).append((t, u, v))
-        if t % 100_000 == 0:
-            _, nt_mat, s_mat = est.matrices(t)
-            full_gap = np.abs(s_mat + s_mat.T - nt_mat) / np.maximum(1.0, nt_mat)
-            worst = max(worst, float(full_gap.max()))
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -128,7 +128,7 @@ def test_criterion_2_estimator_unbiased():
                     d = int(ds[t - 1])
                     if d <= m:
                         pending.setdefault(t + d, []).append((t, u, v))
-        estimates[r] = mu_hat(est, 0, 1, plays + 1)
+        estimates[r] = mu_hat(est, 0, 1)  # at step plays + 1
     elapsed = time.perf_counter() - start
     mean = float(estimates.mean())
     se = float(estimates.std(ddof=1) / math.sqrt(reps))
@@ -154,7 +154,7 @@ def test_criterion_3_no_delay_reduction():
     )
     actions = []
     for t in range(1, horizon + 1):
-        policy.observe(t, env.observe_new(t))
+        policy.observe(env.observe_new())
         action = policy.select(t)
         actions.append((action.u, action.v))
         env.step(action.u, action.v)

@@ -543,6 +543,15 @@ def _estimator():
         (lambda: _environment(10).play_run(0, 1, 2.5), "run length must be an integer >= 1, got 2.5"),
         (lambda: _estimator().record_play(0, 1, 1.5), "step must be an integer >= 1, got 1.5"),
         (
+            lambda: _estimator().ingest_conversion(1.5, 0, 1),
+            "step must be an integer >= 1, got 1.5",
+        ),
+        (
+            lambda: _estimator().ingest_conversion(True, 0, 1),
+            "step must be an integer >= 1, got True",
+        ),
+        (lambda: _estimator().ingest_conversion(0, 0, 1), "step must be >= 1, got 0"),
+        (
             lambda: MrrDbDelay(3, horizon=100, mean_delay=1.0).select_run(1, 0),
             "limit must be >= 1, got 0",
         ),
@@ -554,8 +563,8 @@ def _estimator():
         "uniform-bool", "tau-table-bool", "estimator-k-float", "estimator-tau-short",
         "estimator-tau-2d", "estimator-tau-not-cdf", "arithmetic-k-float", "hard-k-float",
         "hard-k-star-float", "env-horizon-float", "env-horizon-bool", "mrr-k-bool",
-        "baseline-k-float", "run-length-float", "record-step-float", "mrr-limit-zero",
-        "hard-delta-str",
+        "baseline-k-float", "run-length-float", "record-step-float", "ingest-step-float",
+        "ingest-step-bool", "ingest-step-zero", "mrr-limit-zero", "hard-delta-str",
     ],
 )
 def test_every_count_argument_fails_with_one_line(make, message):
@@ -571,6 +580,7 @@ PAIR_SITES = {
     "step": lambda u, v: _environment(10).step(u, v),
     "play_run": lambda u, v: _environment(10).play_run(u, v, 2),
     "record_play": lambda u, v: _estimator().record_play(u, v, 1),
+    "ingest_conversion": lambda u, v: _estimator().ingest_conversion(1, u, v),
 }
 
 
@@ -597,3 +607,5 @@ def test_numpy_integer_counts_accepted_outside_the_calculators():
     est = _estimator()
     est.record_play(np.int64(2), np.int32(0), np.int64(1))
     assert (est.n[2, 0], est.last_t) == (1, 1) and type(est.last_t) is int
+    assert est.ingest_conversion(np.int64(1), np.int64(2), np.int32(0)) is True
+    assert est.matrices()[2][2, 0] == 1.0

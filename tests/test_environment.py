@@ -153,10 +153,12 @@ class TestObservation:
         outs = [env.step(1, 0) for _ in range(9)]  # losses, invisible
         out = env.step(0, 1)
         assert out.s == 10 and out.x == 1 and out.d == 2
-        outs += [out, env.step(1, 0), env.step(1, 0)]
+        assert env.observe_new() == []  # at step 11
+        outs += [out, env.step(1, 0)]
+        assert env.observe_new() == [out]  # at step 12
+        outs.append(env.step(1, 0))
         y_by_t = {t: dict(censored_view(outs, t)).get(10) for t in (11, 12)}
         assert y_by_t == {11: 0, 12: 1}
-        assert env.observe_new(11) == [] and env.observe_new(12) == [out]
 
     def test_unit_delay_reveals_everything_next_step(self):
         env = DuelingEnvironment(
@@ -188,20 +190,13 @@ class TestObservation:
         env = DuelingEnvironment(
             arithmetic_matrix(5), geometric(0.3), np.random.default_rng(4), horizon=60
         )
-        outs = [env.step(1, 2) for _ in range(60)]
-        landed: set[int] = set()
-        for t in range(1, 61):
-            landed |= {o.s for o in env.observe_new(t)}
+        outs, landed = [], set()
+        for t in range(1, 62):  # the plays before t, then the step-t play
+            landed |= {o.s for o in env.observe_new()}
             reconstructed = {s: (1 if s in landed else 0) for s, _ in censored_view(outs, t)}
             assert reconstructed == dict(censored_view(outs, t))
-
-    def test_cannot_observe_future(self):
-        env = DuelingEnvironment(
-            arithmetic_matrix(5), deterministic(1), np.random.default_rng(5), horizon=10
-        )
-        env.step(0, 1)
-        with pytest.raises(ValueError):
-            env.observe_new(5)
+            if t <= 60:
+                outs.append(env.step(1, 2))
 
 
 def queued(env):
@@ -230,9 +225,9 @@ def as_delivered(outs, aggregated):
     return len(outs) if aggregated else outs
 
 
-def observe(env, t):
-    """What env hands out at t: a count when aggregated, else the outcomes."""
-    return env.observe_aggregated(t) if env.aggregated else env.observe_new(t)
+def observe(env):
+    """What env hands out at its step: a count when aggregated, else the outcomes."""
+    return env.observe_aggregated() if env.aggregated else env.observe_new()
 
 
 def play(env, u, v):
@@ -260,22 +255,21 @@ class TestDelivery:
         std = self._env(aggregated=False)
         out = std.step(0, 1)  # s=1 wins, lands at 3
         std.step(0, 1)
-        std.step(0, 1)
-        assert std.observe_new(3) == [out]
-        assert std.observe_new(3) == []
+        assert std.observe_new() == [out]
+        assert std.observe_new() == []
         agg = self._env(aggregated=True)
-        for _ in range(3):
+        for _ in range(2):
             agg.play_run(0, 1, 1)
-        assert agg.observe_aggregated(3) == 1
-        assert agg.observe_aggregated(3) == 0
+        assert agg.observe_aggregated() == 1
+        assert agg.observe_aggregated() == 0
 
     @pytest.mark.parametrize("aggregated", [False, True])
     def test_undelivered_wins_stay_bounded(self, aggregated):
         # every play wins and lands 100 steps later: at most 100 are pending
         env = self._env(aggregated, delay=deterministic(100))
         peak = 0
-        for t in range(1, 5001):
-            observe(env, t)
+        for _ in range(5000):
+            observe(env)
             play(env, 0, 1)
             peak = max(peak, pending_wins(env))
         assert peak == 100
@@ -285,7 +279,7 @@ class TestDelivery:
         env = self._env(aggregated=True, delay=delay)
         counts = []  # at each run's first step, then the wins landing inside it
         while env.t <= 60:
-            counts.append(env.observe_aggregated(env.t))
+            counts.append(env.observe_aggregated())
             counts.append(env.play_run(0, 1, 1 + env.t % 3))
         assert all(type(c) is int for c in counts)
         assert sum(counts) > 0
@@ -325,15 +319,15 @@ class TestPlayRun:
         horizon = 40 + n if cut else 10**6
         run_env, step_env = self._twins(self.LAWS[law], aggregated, horizon)
         for t in range(1, 41):  # wins of earlier plays stay queued across the run
-            assert observe(run_env, t) == as_delivered(step_env.observe_new(t), aggregated)
+            assert observe(run_env) == as_delivered(step_env.observe_new(), aggregated)
             play(run_env, t % 4, (t + 1) % 4)
             step_env.step(t % 4, (t + 1) % 4)
-        assert observe(run_env, 41) == as_delivered(step_env.observe_new(41), aggregated)
+        assert observe(run_env) == as_delivered(step_env.observe_new(), aggregated)  # at 41
         got = run_env.play_run(2, 0, n)
         step_env.step(2, 0)
         want = []
-        for t in range(42, 41 + n):
-            want += step_env.observe_new(t)
+        for _ in range(n - 1):
+            want += step_env.observe_new()
             step_env.step(2, 0)
         assert got == as_delivered(want, aggregated)
         assert run_env.t == step_env.t == 41 + n
@@ -342,7 +336,7 @@ class TestPlayRun:
         if cut:
             assert max(queued(run_env), default=0) <= horizon + 1
             want = as_delivered(self._landing_at(law, n, horizon + 1), aggregated)
-            assert observe(run_env, horizon + 1) == want
+            assert observe(run_env) == want  # at horizon + 1
 
     def _landing_at(self, law, n, step):
         """The wins of test_matches_step_calls' plays landing exactly at step,
@@ -375,8 +369,8 @@ class TestPlayRun:
         got = run_env.play_run(0, 1, 1000)
         step_env.step(0, 1)
         want = []
-        for t in range(2, 1001):
-            want += step_env.observe_new(t)
+        for _ in range(999):
+            want += step_env.observe_new()
             step_env.step(0, 1)
         assert got == as_delivered(want, aggregated) == as_delivered([], aggregated)
         assert queued(run_env) == twin_queued(step_env, aggregated)
@@ -402,7 +396,7 @@ class TestPlayRun:
         inside = env.play_run(0, 1, 1000)
         assert type(inside) is int and inside == 900
         assert pending_wins(env) == 100
-        assert env.observe_aggregated(1001) == 1
+        assert env.observe_aggregated() == 1  # at step 1001
 
     @pytest.mark.parametrize("law", ["det:5", "geometric:0.2"])
     def test_validates_like_step(self, law):
@@ -458,16 +452,15 @@ class TestDrawContract:
             for mode in (False, aggregated)
         )
         for n, u, v, by_step in segments:
-            t = env.t
-            assert observe(env, t) == as_delivered(ref.observe_new(t), aggregated)
+            assert observe(env) == as_delivered(ref.observe_new(), aggregated)
             want, seen = [ref.step(u, v)], []
-            for s in range(t + 1, t + n):
-                seen.append(as_delivered(ref.observe_new(s), aggregated))
+            for _ in range(n - 1):
+                seen.append(as_delivered(ref.observe_new(), aggregated))
                 want.append(ref.step(u, v))
             if by_step:
                 got, got_seen = [play(env, u, v)], []
-                for s in range(t + 1, t + n):
-                    got_seen.append(observe(env, s))
+                for _ in range(n - 1):
+                    got_seen.append(observe(env))
                     got.append(play(env, u, v))
                 # a run of one play has nothing landing inside it
                 assert (got, got_seen) == ([0] * n if aggregated else want, seen)
@@ -508,7 +501,7 @@ class TestAggregatedMode:
             arithmetic_matrix(5), deterministic(2), np.random.default_rng(0), horizon=1
         )
         with pytest.raises(ValueError, match="^environment is not in aggregated mode$"):
-            std.observe_aggregated(1)
+            std.observe_aggregated()
         agg = DuelingEnvironment(
             arithmetic_matrix(5), deterministic(100), np.random.default_rng(0), horizon=300,
             aggregated=True,
@@ -525,7 +518,7 @@ class TestAggregatedMode:
         assert queued(agg)  # wins landing at 101..150
         assert_refused()
         with pytest.raises(ValueError, match="^aggregated mode exposes only anonymous counts$"):
-            agg.observe_new(1)
+            agg.observe_new()
 
     @pytest.mark.parametrize("aggregated", ["no", 0, 1, None])
     def test_aggregated_must_be_a_bool(self, aggregated):
@@ -540,7 +533,7 @@ class TestAggregatedMode:
             def select(self, t):
                 return PolicyAction(0, 1)
 
-            def observe_count(self, t, n):
+            def observe_count(self, n):
                 pass
 
         config = ExperimentConfig(
@@ -558,11 +551,11 @@ class TestAggregatedMode:
             aggregated=True,
         )
         env.play_run(0, 1, 1)  # s=1 wins, lands at 3
+        assert env.observe_aggregated() == 0  # at step 2
         env.play_run(0, 1, 1)  # s=2 wins, lands at 4
+        assert env.observe_aggregated() == 1  # at step 3
         env.play_run(1, 0, 1)  # s=3 loses, never lands
-        assert env.observe_aggregated(2) == 0
-        assert env.observe_aggregated(3) == 1
-        assert env.observe_aggregated(4) == 1
+        assert env.observe_aggregated() == 1  # at step 4
 
     def test_two_wins_landing_together(self):
         # plays at s=1 (delay 2) and s=2 (delay 1) both land at step 3
@@ -584,7 +577,7 @@ class TestAggregatedMode:
         )
         env.play_run(0, 1, 1)
         env.play_run(0, 1, 1)
-        assert env.observe_aggregated(3) == 2
+        assert env.observe_aggregated() == 2  # at step 3
 
     @pytest.mark.parametrize("law", ["det:1", "det:300", "geometric:0.5", "geometric:0.01"])
     def test_counts_to_the_end_match_the_standard_twin(self, law):
@@ -608,25 +601,27 @@ class TestAggregatedMode:
             t = env.t
             n = min(int(plan.integers(1, 700)), horizon + 1 - t)
             u, v = plan.integers(0, 4, size=2).tolist()
-            assert env.observe_aggregated(t) == len(twin.observe_new(t))
+            assert env.observe_aggregated() == len(twin.observe_new())
             inside = 0
             twin.step(u, v)
-            for s in range(t + 1, t + n):
-                inside += len(twin.observe_new(s))
+            for _ in range(n - 1):
+                inside += len(twin.observe_new())
                 twin.step(u, v)
             assert env.play_run(u, v, n) == inside
             assert queued(env) == twin_queued(twin, True)
         assert env.t == twin.t == horizon + 1
-        assert env.observe_aggregated(horizon + 1) == len(twin.observe_new(horizon + 1))
+        assert env.observe_aggregated() == len(twin.observe_new())  # at horizon + 1
         assert pending_wins(env) == 0 and not twin._landings
 
     def test_conservation(self):
         # the count of every landing equals the standard twin's resolved wins
         env, twin = self._env(seed=7), self._env(seed=7, aggregated=False)
+        total = 0
         for _ in range(300):
+            total += env.observe_aggregated()
             env.play_run(0, 1, 1)
+        total += env.observe_aggregated()  # at step 301
         outs = [twin.step(0, 1) for _ in range(300)]
-        total = sum(env.observe_aggregated(t) for t in range(1, env.t + 1))
         resolved_wins = sum(o.x for o in outs if o.s + o.d <= env.t)
         assert total == resolved_wins > 0
 
@@ -640,7 +635,7 @@ class TestRegret:
             def select(self, t):
                 return PolicyAction(*pairs[t - 1])
 
-            def observe(self, t, conversions):
+            def observe(self, conversions):
                 pass
 
         config = ExperimentConfig(
@@ -690,7 +685,7 @@ class TestRegret:
                 pair, n = self.queue.pop(0)
                 return PolicyAction(*pair), min(n, limit)
 
-            def observe(self, t, conversions):
+            def observe(self, conversions):
                 pass
 
         horizon = sum(n for _, n in runs) - 5  # the last run is cut at T

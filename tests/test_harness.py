@@ -33,7 +33,7 @@ class ConstantPolicy:
     def select(self, t):
         return PolicyAction(self.u, self.v)
 
-    def observe(self, t, conversions):
+    def observe(self, conversions):
         pass
 
 
@@ -210,9 +210,9 @@ def per_step_reference(config, seed, matrix):
     cumulative, times, regret = 0.0, [], []
     for t in range(1, config.horizon + 1):
         if config.aggregated:
-            policy.observe_count(t, len(env.observe_new(t)))
+            policy.observe_count(len(env.observe_new()))
         else:
-            policy.observe(t, env.observe_new(t))
+            policy.observe(env.observe_new())
         u, v = policy.select(t)
         env.step(u, v)
         cumulative += (gaps[u] + gaps[v]) / 2.0

@@ -79,6 +79,29 @@ def test_each_size_is_stated_once():
     assert all(isinstance(f, str) and f.endswith(".csv") for f in specs.values()), specs
 
 
+def test_each_step_is_stated_once():
+    """The environment's t and the estimator's last_t hold the step: no method that
+    can read it from its own state takes it again, and the estimator records one
+    play per step."""
+    takes_no_step = [
+        *(cls.observe for cls in (duelsim.RucbDelay, duelsim.RucbBaseline, duelsim.RrDbDelay)),
+        duelsim.MrrDbDelay.observe,
+        duelsim.MrrDbDelay.observe_count,
+        duelsim.DuelingEnvironment.observe_new,
+        duelsim.DuelingEnvironment.observe_aggregated,
+        duelsim.DelayCorrectedEstimator.matrices,
+    ]
+    for method in takes_no_step:
+        assert "t" not in inspect.signature(method).parameters, method.__qualname__
+    params = inspect.signature(duelsim.DelayCorrectedEstimator.ucb_matrix).parameters
+    assert list(params) == ["self", "alpha"]
+    est = duelsim.DelayCorrectedEstimator(2, duelsim.geometric(0.5).tau_table(4))
+    est.record_play(0, 1, 1)
+    est.record_play(0, 1, 2)
+    with pytest.raises(ValueError, match="^play at t=5, expected t=3$"):
+        est.record_play(0, 1, 5)
+
+
 def test_bench_trace_targets_resolve():
     """Every method the bench tracer wraps still exists; install() skips a missing
     one silently, and its per-layer metric would then read 0."""

@@ -36,7 +36,7 @@ def run_actions(matrix, delay, policy, horizon):
     env = DuelingEnvironment(matrix, delay, np.random.default_rng(12345), horizon=horizon)
     actions = []
     for t in range(1, horizon + 1):
-        policy.observe(t, env.observe_new(t))
+        policy.observe(env.observe_new())
         a = policy.select(t)
         actions.append((a.u, a.v))
         env.step(a.u, a.v)
@@ -107,7 +107,8 @@ class TestRucbDelaySelection:
         est._folded_plays[1, 2] = 200.0
         est._wins[1, 0] = 20.0
         est._wins[1, 2] = 20.0
-        ucb = est.ucb_matrix(1000, 1.0)
+        est.last_t = 999  # the bound at step 1000
+        ucb = est.ucb_matrix(1.0)
         assert ucb[1, 0] < 0.5 and ucb[1, 2] < 0.5
         champs = np.flatnonzero(np.all(ucb >= 0.5, axis=1))
         assert 1 not in champs
@@ -118,7 +119,7 @@ class TestRucbDelaySelection:
             arithmetic_matrix(4), geometric(0.1), np.random.default_rng(7), horizon=799
         )
         for t in range(1, 800):
-            pol.observe(t, env.observe_new(t))
+            pol.observe(env.observe_new())
             a = pol.select(t)
             env.step(a.u, a.v)
             assert pol.best is None or isinstance(pol.best, int)
@@ -126,8 +127,7 @@ class TestRucbDelaySelection:
     def test_declared_winner_without_single_champion(self):
         pol = fresh_policy("rucb-delay", k=4, seed=0)
         run_actions(arithmetic_matrix(4), geometric(0.1), pol, 20)
-        t = pol.est.last_t + 1
-        ucb = pol.est.ucb_matrix(t, pol.alpha)
+        ucb = pol.est.ucb_matrix(pol.alpha)
         assert np.count_nonzero(np.all(ucb >= 0.5, axis=1)) > 1 and pol.best is None
         worst_lcb = [
             min(1.0 - ucb[j, i] for j in range(4) if j != i)
@@ -162,7 +162,7 @@ class TestRucbDelaySelection:
         )
         mine = []
         for t in range(1, 401):
-            pol.observe(t, env.observe_new(t))
+            pol.observe(env.observe_new())
             a = pol.select(t)
             mine.append((a.u, a.v))
             env.step(a.u, a.v)
@@ -192,7 +192,7 @@ class TestRucbBaseline:
     def test_pending_play_counts_as_loss_for_first_arm(self):
         pol = fresh_policy("rucb-baseline", k=3, seed=3)
         a = pol.select(1)
-        pol.observe(2, [])  # first observation of play 1 is a zero
+        pol.observe([])  # first observation of play 1, at step 2, is a zero
         assert pol.wins[a.v, a.u] == 1.0
         assert pol.wins[a.u, a.v] == 0.0
 
@@ -203,7 +203,7 @@ class TestRucbBaseline:
         class Event:
             s, u, v = 1, a.u, a.v
 
-        pol.observe(2, [Event])
+        pol.observe([Event])
         assert pol.wins[a.u, a.v] == 1.0
         assert pol.wins[a.v, a.u] == 0.0
 
@@ -212,12 +212,12 @@ class TestRucbBaseline:
         # recorded while the play was pending stays on the books
         pol = fresh_policy("rucb-baseline", k=3, seed=5)
         a = pol.select(1)
-        pol.observe(2, [])
+        pol.observe([])
 
         class Event:
             s, u, v = 1, a.u, a.v
 
-        pol.observe(5, [Event])
+        pol.observe([Event])  # a later step
         assert pol.wins[a.u, a.v] == 1.0
         assert pol.wins[a.v, a.u] == 1.0
 
@@ -232,7 +232,7 @@ class TestRucbBaseline:
         pol = RucbBaseline(3, alpha=1.0, rng=np.random.default_rng(pol_seq))
         mine = []
         for t in range(1, 401):
-            pol.observe(t, env.observe_new(t))
+            pol.observe(env.observe_new())
             a = pol.select(t)
             mine.append((a.u, a.v))
             env.step(a.u, a.v)
@@ -293,7 +293,7 @@ class TestRrDbDelay:
     def bound(pol, i, j, t):
         """The entry of the elimination bounds RrDbDelay._eliminate reads at step t."""
         log_term = math.log(pol.k * t / pol.delta)
-        return corrected_bounds(*pol.est.matrices(t), 1.0, log_term)[i, j]
+        return corrected_bounds(*pol.est.matrices(), 1.0, log_term)[i, j]
 
     def test_sweep_visits_both_orderings_pairwise(self):
         pol = RrDbDelay(3, tau_table=geometric(0.5).tau_table(20), delta=0.01)
@@ -387,7 +387,7 @@ class TestRrDbDelay:
         env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(17), horizon=2999)
         eliminated_ever: set[int] = set()
         for t in range(1, 3000):
-            pol.observe(t, env.observe_new(t))
+            pol.observe(env.observe_new())
             a = pol.select(t)
             assert a.u not in eliminated_ever and a.v not in eliminated_ever
             env.step(a.u, a.v)
@@ -504,7 +504,7 @@ class TestMrrDbDelay:
         pol = self.make(k=3, n_target=40)
         env = DuelingEnvironment(matrix, deterministic(1), np.random.default_rng(23), horizon=3999)
         for t in range(1, 4000):
-            pol.observe(t, env.observe_new(t))
+            pol.observe(env.observe_new())
             a = pol.select(t)
             assert a.u in pol.active and a.v in pol.active
             env.step(a.u, a.v)
@@ -533,9 +533,9 @@ class TestMrrDbDelay:
     def test_aggregated_counts_credit_previous_pair(self):
         pol = self.make(k=2, n_target=5, aggregated=True)
         first = tuple(pol.select(1))
-        pol.observe_count(2, 3)
+        pol.observe_count(3)
         assert pol.convs[first] == 3.0
-        pol.observe_count(3, 0)  # zero-count steps change nothing
+        pol.observe_count(0)  # zero-count steps change nothing
         assert pol.convs == {first: 3.0}
 
     def test_default_schedule_comes_from_calculators(self):
@@ -584,7 +584,7 @@ def rrdb_states(draw):
     Plays come in runs of up to 40 from a pool of at most three ordered
     pairs, each of which either always or never wins, so some arms lose
     often enough for their bound to fall below 1/2.  A win lands its delay
-    later; gaps past M fold plays out of the window.
+    later; plays older than M fold out of the window.
     """
     k = draw(st.integers(2, 6))
     m = draw(st.integers(1, 15))
@@ -593,12 +593,7 @@ def rrdb_states(draw):
     pol = RrDbDelay(k, tau_table=draw(DELAY_LAWS).tau_table(m), delta=delta)
     arm = st.integers(0, k - 1)
     pool = draw(st.lists(st.tuples(arm, arm, st.booleans()), min_size=1, max_size=3))
-    step = st.tuples(
-        st.integers(1, 40),
-        st.just(1) | st.integers(1, m + 2),
-        st.sampled_from(pool),
-        st.integers(1, m + 2),
-    )
+    step = st.tuples(st.integers(1, 40), st.sampled_from(pool), st.integers(1, m + 2))
     pending: dict[int, list[tuple[int, int, int]]] = {}
 
     def deliver_upto(t):
@@ -607,9 +602,9 @@ def rrdb_states(draw):
                 pol.est.ingest_conversion(s, a, b)
 
     t = 0
-    for repeat, gap, (u, v, wins), delay in draw(st.lists(step, max_size=8)):
+    for repeat, (u, v, wins), delay in draw(st.lists(step, max_size=8)):
         for _ in range(repeat):
-            t += gap
+            t += 1
             deliver_upto(t)
             pol.est.record_play(u, v, t)
             if wins:
@@ -627,7 +622,7 @@ class TestRrDbBounds:
     def test_matches_scalar_bound_and_old_elimination(self, state):
         pol, active = state
         t = pol.est.last_t + 1
-        n, n_tilde, s = (x.tolist() for x in pol.est.matrices(t))
+        n, n_tilde, s = (x.tolist() for x in pol.est.matrices())
         old = {
             (i, j): reference_rules.rrdb_bound(pol, n[i][j], n_tilde[i][j], s[i][j], t)
             for i in range(pol.k)
@@ -635,7 +630,7 @@ class TestRrDbBounds:
             if i != j
         }
         log_term = math.log(pol.k * t / pol.delta)
-        new = corrected_bounds(*pol.est.matrices(t), 1.0, log_term)
+        new = corrected_bounds(*pol.est.matrices(), 1.0, log_term)
         assert {key: new[key] for key in old} == old
         pol._eliminate(t)
         assert pol.active == reference_rules.rrdb_survivors(old, active)
@@ -689,14 +684,14 @@ class TestSharedRules:
         played = []
         for t, (count, back) in enumerate(steps, start=1):
             if aggregated:
-                new.observe_count(t, count)
-                old.observe_count(t, count)
+                new.observe_count(count)
+                old.observe_count(count)
             elif played:
                 s = max(len(played) - back, 1)
                 u, v = played[s - 1]
                 conversions = [PendingOutcome(s, u, v, 1, t - s)] * count
-                new.observe(t, conversions)
-                old.observe(t, conversions)
+                new.observe(conversions)
+                old.observe(conversions)
             action = new.select(t)
             assert action == reference_rules.mrr_select(old)
             for attr in ("m", "n_target", "active", "rescued_rounds", "_prev_pair"):
@@ -725,7 +720,7 @@ class TestSharedRules:
             pol.est.record_play(u % k, v % k, t)
             if converted:
                 pol.est.ingest_conversion(t, u % k, v % k)
-        ucb = pol.est.ucb_matrix(pol.est.last_t + 1, pol.alpha)
+        ucb = pol.est.ucb_matrix(pol.alpha)
         assert pol.best is None
         assert pol.declared_winner() == reference_rules.best_worst_case_lcb(ucb)
 
@@ -788,7 +783,7 @@ class TestWinnerRules:
         k = ucb.shape[0]
         tau = geometric(0.3).tau_table(8)
         pol = RucbDelay(k, alpha=1.0, tau_table=tau, rng=np.random.default_rng(0))
-        pol.best, pol.est.ucb_matrix = best, lambda t, alpha: ucb
+        pol.best, pol.est.ucb_matrix = best, lambda alpha: ucb
         assert pol.declared_winner() == reference_rules.rucb_declared_winner(pol)
 
 
